@@ -117,7 +117,12 @@
 //!    digest, twice through the library path with byte-identical
 //!    counters-only reports, and once through the JSON server path with
 //!    the same digest; no timing involved;
-//! 10. a **timing-ratio gate** — re-measures the two `session_amortization`
+//! 10. a **top-rung exploration gate** — exploring the 51k-decl
+//!     `env_scaling` rung for the `env_scaling` goal under the default
+//!     limits (500 ms prover time limit) must not be time-truncated and must
+//!     process exactly as many requests as an unlimited run (re-measured
+//!     once on a breach);
+//! 11. a **timing-ratio gate** — re-measures the two `session_amortization`
 //!     query workloads and fails if the graph pipeline's speedup over the
 //!     unindexed pipeline shrank more than 25% against the recorded ratio.
 //!     A single noisy measurement window must not fail CI, so a breach is
@@ -137,7 +142,7 @@ use insynth_bench::{
 use insynth_core::{
     explore, generate_patterns, generate_patterns_naive, generate_terms, generate_terms_best_first,
     generate_terms_unindexed, Allowlist, BatchRequest, Engine, ExploreLimits, GenerateLimits,
-    PreparedEnv, Query, Severity, SynthesisConfig, TypeEnv, WeightConfig,
+    PreparedEnv, Query, SearchSpace, Severity, SynthesisConfig, TypeEnv, WeightConfig,
 };
 use insynth_corpus::trace::{generate_trace, Trace, TraceEnvSpec, TraceGenConfig};
 use insynth_lambda::Ty;
@@ -891,7 +896,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, cross_point, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check fails when a query_batch over 4 structurally equal points stops reporting exactly 1 prepare + 1 graph build, when the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, when growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), when the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), when sharded preparation (1/2/8 σ shards) stops being byte-identical to sequential, when the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, when (on >= 4 cores) sharded preparation stops being 2x faster than sequential at the 51k rung, when Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, when the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), or when the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
+        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, cross_point, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check fails when a query_batch over 4 structurally equal points stops reporting exactly 1 prepare + 1 graph build, when the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, when growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), when the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), when sharded preparation (1/2/8 σ shards) stops being byte-identical to sequential, when the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, when (on >= 4 cores) sharded preparation stops being 2x faster than sequential at the 51k rung, when Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, when the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), when exploring the 51k rung under the default limits is time-truncated or processes fewer requests than an unlimited run in two consecutive windows, or when the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
     );
     out.push_str(
         "  \"_measurement\": \"per-iteration nanoseconds; warm-up-calibrated samples of batched iterations, as in vendor/criterion (min/median/mean only)\",\n",
@@ -968,7 +973,8 @@ fn measure_query_ratio(env: &TypeEnv, goal: &Ty) -> (u128, u128, f64) {
 
 /// The `--check` mode: the deterministic cross-point, pops, resume,
 /// scripted-session and shard-invariance gates, the growth-exponent and
-/// (on >= 4 cores) parallel-speedup gates, then the timing-ratio gate
+/// (on >= 4 cores) parallel-speedup gates, the env-lint and trace-replay
+/// gates, the top-rung exploration gate, then the timing-ratio gate
 /// against the recorded baseline. Timing compares the
 /// speedup *ratio* with both sides measured on the current machine — a
 /// machine being uniformly slower (a CI runner) scales both medians and
@@ -1395,7 +1401,63 @@ fn run_check(path: &str) -> i32 {
         }
     }
 
-    // Gate 9 — query-time ratio, re-measured once on a breach.
+    // Gate 9 — exploration at the top rung: under the default limits,
+    // exploring the 51k-decl rung for the env_scaling goal must finish
+    // inside the prover time limit and process exactly as many requests as
+    // an unlimited run. While MATCH scanned all of Γ per request, the time
+    // limit cut this exploration short after 60–70% of its requests on a
+    // 2-vCPU machine. The outcome depends on the wall clock, so a
+    // truncation is re-measured once.
+    {
+        let config = SynthesisConfig::default();
+        let prepared = PreparedEnv::prepare(top_rung, &config.weights);
+        let explore_with = |limits: &ExploreLimits| {
+            let mut store = prepared.scratch();
+            let goal_succ = store.sigma(&goal);
+            let start = Instant::now();
+            let space = explore(&prepared, &mut store, goal_succ, limits);
+            (space, start.elapsed())
+        };
+        let default_limits = ExploreLimits {
+            max_requests: config.max_explore_requests,
+            time_limit: config.prover_time_limit,
+        };
+        let (unlimited, _) = explore_with(&ExploreLimits {
+            max_requests: usize::MAX,
+            time_limit: None,
+        });
+        let complete = |space: &SearchSpace| {
+            !space.time_truncated && space.requests_processed == unlimited.requests_processed
+        };
+        let report = |space: &SearchSpace, elapsed: Duration| {
+            println!(
+                "explore at {} decls under the default limits: {} of {} requests in {:.1} ms, \
+                 time-truncated: {} (gate requires all requests, untruncated)",
+                top_rung.len(),
+                space.requests_processed,
+                unlimited.requests_processed,
+                elapsed.as_secs_f64() * 1e3,
+                space.time_truncated,
+            );
+        };
+        let (mut bounded, elapsed) = explore_with(&default_limits);
+        report(&bounded, elapsed);
+        if !complete(&bounded) {
+            println!("exploration incomplete — re-measuring once to rule out a noisy window …");
+            let (second, elapsed) = explore_with(&default_limits);
+            report(&second, elapsed);
+            bounded = second;
+        }
+        if !complete(&bounded) {
+            println!(
+                "PERF REGRESSION: exploration of the top env_scaling rung no longer completes \
+                 under the default prover time limit in both measurement windows"
+            );
+            return 1;
+        }
+    }
+
+    // Gate 10 — query-time ratio, re-measured once on a breach.
     let (query_median, unindexed_median, first_ratio) = measure_query_ratio(&env, &goal);
     println!(
         "graph query median {query_median} ns, unindexed reference median {unindexed_median} ns: \

@@ -33,7 +33,9 @@ use std::time::{Duration, Instant};
 
 use insynth_core::{Engine, EnvDelta, Query, Session, SynthesisConfig, TypeEnv};
 use insynth_corpus::trace::{Trace, TraceEnvSpec, TraceEvent, TraceEventKind, TraceSummary};
-use insynth_server::{decl_to_json, env_to_json, ty_to_json, Json, Server, ServerConfig};
+use insynth_server::{
+    decl_to_json, env_to_json, ty_to_json, Json, Server, ServerConfig, MAX_PAGE_VALUES,
+};
 use insynth_stats::Histogram;
 
 use crate::{phases_environment, scaled_environment};
@@ -292,9 +294,11 @@ fn run_library_worker(
                 };
                 match sessions.get(&event.point) {
                     Some(session) => {
-                        // Mirror the server's `completion/complete`: ask for
-                        // cursor + n, serve the page past the cursor.
-                        let query = Query::new(goal.clone()).with_n(cursor.saturating_add(*n));
+                        // Mirror the server's `completion/complete`: cap the
+                        // page, ask for cursor + n, serve the page past the
+                        // cursor.
+                        let n = (*n).min(MAX_PAGE_VALUES);
+                        let query = Query::new(goal.clone()).with_n(cursor.saturating_add(n));
                         let started = Instant::now();
                         let result = session.query(&query);
                         out.latency.record(started.elapsed());
@@ -402,12 +406,12 @@ fn report(
 // ---------------------------------------------------------------------------
 
 /// The server configuration a replay drives: sessions sized to the trace's
-/// points, page-size clamp high enough to never bite (the library path does
-/// not clamp, and digests must match).
+/// points, and the widest page the protocol allows (the library path caps
+/// pages at the same [`MAX_PAGE_VALUES`], and digests must match).
 pub fn replay_server_config(trace: &Trace) -> ServerConfig {
     ServerConfig {
         max_sessions: trace.summary().points + 8,
-        max_n: 1 << 20,
+        max_n: MAX_PAGE_VALUES,
         ..ServerConfig::default()
     }
 }

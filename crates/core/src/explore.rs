@@ -6,14 +6,26 @@
 //! processed in order of the weight of the requested type (§5.6), so that the
 //! parts of the space the ranking will prefer are discovered first when a time
 //! or request budget cuts exploration short.
+//!
+//! MATCH is answered from a `ret → members` index rather than by scanning Γ
+//! for every request. The index is private to one [`explore`] call and built
+//! lazily, once per distinct environment the call touches: the prepared
+//! `init_env` plus the few Γ∪S extensions STRIP creates. Indexing an
+//! environment costs one pass over it — what a single MATCH scan used to
+//! cost — after which each request pays only for its own matches, so
+//! exploration tracks the reachable part of the space rather than |Γ| (§5).
+//! Every bucket keeps the environment's ascending id order, so the emitted
+//! terms are exactly those of [`insynth_succinct::match_rule`], which stays
+//! the rule-by-rule reference.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashSet};
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use insynth_intern::Symbol;
 use insynth_succinct::{
-    match_rule, strip_rule, BaseRequest, ReachabilityTerm, Request, ScratchStore, SuccinctTyId,
+    match_term, strip_rule, BaseRequest, EnvId, ReachabilityTerm, Request, ScratchStore,
+    SuccinctTyId, TypeStore,
 };
 
 use crate::prepare::PreparedEnv;
@@ -110,6 +122,7 @@ pub fn explore(
     });
 
     let mut visited: HashSet<BaseRequest> = HashSet::new();
+    let mut index = MatchIndex::default();
     let mut seen_rets: HashSet<Symbol> = HashSet::new();
     let mut space = SearchSpace {
         terms: Vec::new(),
@@ -141,7 +154,7 @@ pub fn explore(
             space.processed_rets.push(stripped.ret);
         }
 
-        let found = match_rule(store, stripped);
+        let found = index.match_terms(store, stripped);
         for term in &found {
             for &arg in &term.remaining {
                 // PROP: issue a request for every argument type; STRIP at pop
@@ -165,6 +178,41 @@ pub fn explore(
     }
 
     space
+}
+
+/// The MATCH rule over a lazily built per-environment `ret → members` index.
+#[derive(Debug, Default)]
+struct MatchIndex {
+    by_env: HashMap<EnvId, HashMap<Symbol, Vec<SuccinctTyId>>>,
+}
+
+impl MatchIndex {
+    /// MATCH for `request`: the same terms, in the same order, as
+    /// [`insynth_succinct::match_rule`]. The first lookup in an environment
+    /// buckets all of its members in one pass; buckets keep ascending id
+    /// order.
+    fn match_terms<S: TypeStore>(
+        &mut self,
+        store: &S,
+        request: BaseRequest,
+    ) -> Vec<ReachabilityTerm> {
+        let buckets = self.by_env.entry(request.env).or_insert_with(|| {
+            let mut buckets: HashMap<Symbol, Vec<SuccinctTyId>> = HashMap::new();
+            for &member in store.env_types(request.env) {
+                buckets
+                    .entry(store.ret_of(member))
+                    .or_default()
+                    .push(member);
+            }
+            buckets
+        });
+        buckets.get(&request.ret).map_or(Vec::new(), |members| {
+            members
+                .iter()
+                .map(|&member| match_term(store, request, member))
+                .collect()
+        })
+    }
 }
 
 /// Priority-queue entry: lighter requests first, FIFO among equals.
@@ -193,7 +241,9 @@ mod tests {
     use crate::decl::{DeclKind, Declaration, TypeEnv};
     use crate::weights::WeightConfig;
     use insynth_lambda::Ty;
-    use insynth_succinct::TypeStore;
+    use insynth_succinct::{match_rule, prop_rule};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn prepared(decls: Vec<Declaration>) -> PreparedEnv {
         let env: TypeEnv = decls.into_iter().collect();
@@ -353,5 +403,147 @@ mod tests {
         let _ = explore(&p, &mut store, goal, &ExploreLimits::default());
         assert_eq!(p.store.ty_count(), tys_before);
         assert_eq!(p.store.env_count(), envs_before);
+    }
+
+    /// Base types of the random environments. `Z` never occurs as a return
+    /// type, so requests for it have no members.
+    const BASES: [&str; 6] = ["A", "B", "C", "D", "E", "Z"];
+
+    fn random_base(rng: &mut StdRng) -> Ty {
+        Ty::base(BASES[rng.gen_range(0..BASES.len())])
+    }
+
+    /// A random environment of nullary values and functions whose arguments
+    /// are sometimes themselves functions, so that PROP issues functional
+    /// requests and STRIP extends the environment.
+    fn random_env(rng: &mut StdRng, len: usize) -> TypeEnv {
+        (0..len)
+            .map(|i| {
+                let arity = rng.gen_range(0..3usize);
+                let args = (0..arity)
+                    .map(|_| {
+                        if rng.gen_bool(0.3) {
+                            Ty::fun(vec![random_base(rng)], random_base(rng))
+                        } else {
+                            random_base(rng)
+                        }
+                    })
+                    .collect();
+                let ret = Ty::base(BASES[rng.gen_range(0..BASES.len() - 1)]);
+                Declaration::new(format!("d{i}"), Ty::fun(args, ret), DeclKind::Local)
+            })
+            .collect()
+    }
+
+    /// A random goal: a base type, a function type, or a function type with
+    /// a higher-order argument. `Overlay` exists only in the scratch overlay.
+    fn random_goal(rng: &mut StdRng) -> Ty {
+        let base = |rng: &mut StdRng| {
+            if rng.gen_bool(0.15) {
+                Ty::base("Overlay")
+            } else {
+                random_base(rng)
+            }
+        };
+        match rng.gen_range(0..3u32) {
+            0 => base(rng),
+            1 => Ty::fun(vec![base(rng)], base(rng)),
+            _ => Ty::fun(vec![Ty::fun(vec![base(rng)], base(rng))], base(rng)),
+        }
+    }
+
+    /// Every base request reachable from `goal` under STRIP / reference MATCH
+    /// / PROP, in first-reached order.
+    fn reference_requests(
+        store: &mut ScratchStore<'_>,
+        init_env: EnvId,
+        goal: SuccinctTyId,
+    ) -> Vec<BaseRequest> {
+        let mut pending = vec![Request {
+            ty: goal,
+            env: init_env,
+        }];
+        let mut seen = HashSet::new();
+        let mut order = Vec::new();
+        while let Some(request) = pending.pop() {
+            let base = strip_rule(store, request);
+            if !seen.insert(base) {
+                continue;
+            }
+            order.push(base);
+            for term in match_rule(&*store, base) {
+                for &arg in &term.remaining {
+                    pending.push(prop_rule(&term, arg));
+                }
+            }
+        }
+        order
+    }
+
+    #[test]
+    fn indexed_match_equals_the_reference_rule_on_random_environments() {
+        let mut extended_envs = 0;
+        let mut overlay_goals = 0;
+        for seed in 0..300u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            // Every tenth environment is the empty Γ.
+            let len = if seed % 10 == 0 {
+                0
+            } else {
+                rng.gen_range(1..24usize)
+            };
+            let p = PreparedEnv::prepare(&random_env(&mut rng, len), &WeightConfig::default());
+            let mut store = p.scratch();
+            let goal_ty = random_goal(&mut rng);
+            let goal = store.sigma(&goal_ty);
+            if goal_ty.base_names().contains(&"Overlay") {
+                assert!(store.scratch_symbol_count() > 0);
+                overlay_goals += 1;
+            }
+            let requests = reference_requests(&mut store, p.init_env, goal);
+
+            // Explore processes exactly the reference requests, and the terms
+            // of each are exactly the reference MATCH, in the same order.
+            let space = explore(&p, &mut store, goal, &ExploreLimits::default());
+            assert!(!space.truncated);
+            assert_eq!(space.requests_processed, requests.len(), "seed {seed}");
+            let mut expected_terms = 0;
+            for &request in &requests {
+                let expected = match_rule(&store, request);
+                let got: Vec<ReachabilityTerm> = space
+                    .terms
+                    .iter()
+                    .filter(|t| t.ret == request.ret && t.env == request.env)
+                    .cloned()
+                    .collect();
+                assert_eq!(got, expected, "seed {seed}, request {request:?}");
+                expected_terms += expected.len();
+            }
+            assert_eq!(space.terms.len(), expected_terms, "seed {seed}");
+
+            // The index agrees with the rule on every environment explore
+            // touched, for every return type, including ones with no members.
+            let mut envs: Vec<EnvId> = requests.iter().map(|r| r.env).collect();
+            envs.sort_unstable();
+            envs.dedup();
+            if envs.len() > 1 {
+                extended_envs += 1;
+            }
+            let mut rets: Vec<Symbol> = BASES.iter().map(|b| store.base_symbol(b)).collect();
+            rets.push(store.base_symbol("Overlay"));
+            let mut index = MatchIndex::default();
+            for &env in &envs {
+                for &ret in &rets {
+                    let request = BaseRequest { ret, env };
+                    assert_eq!(
+                        index.match_terms(&store, request),
+                        match_rule(&store, request),
+                        "seed {seed}, request {request:?}"
+                    );
+                }
+            }
+        }
+        assert!(extended_envs > 30, "only {extended_envs} Γ∪S extensions");
+        assert!(overlay_goals > 10, "only {overlay_goals} overlay goals");
     }
 }

@@ -46,5 +46,5 @@ pub mod transport;
 pub use json::{parse as parse_json, Json, JsonError};
 pub use metrics::{Method, Metrics};
 pub use protocol::{decl_to_json, env_to_json, ty_to_json, ProtocolError, Request};
-pub use server::{report_to_json, Bookkeeping, Parsed, Server, ServerConfig};
+pub use server::{report_to_json, Bookkeeping, Parsed, Server, ServerConfig, MAX_PAGE_VALUES};
 pub use transport::{run, serve_script};

@@ -19,7 +19,8 @@ const USAGE: &str =
 
 A persistent completion server: line-delimited JSON requests on stdin,
 one response per line on stdout. Methods: env/open, env/update,
-completion/complete, session/close, server/stats, $/cancel.";
+completion/complete, session/close, server/stats, $/cancel.
+--max-n caps the page size; no page holds more than 100 values.";
 
 fn parse_args() -> Result<ServerConfig, String> {
     let mut config = ServerConfig::default();

@@ -12,7 +12,7 @@
 //! executes via [`Server::execute`].
 //!
 //! Admission control is deliberately boring: page sizes clamp to
-//! [`ServerConfig::max_n`], per-request step/time budgets can only *lower*
+//! [`ServerConfig::max_n`] and never exceed [`MAX_PAGE_VALUES`], per-request step/time budgets can only *lower*
 //! the engine's configured caps (never raise them), and `env/open` beyond
 //! [`ServerConfig::max_sessions`] is refused — so one pathological client
 //! request cannot starve the loop or grow state without bound.
@@ -32,6 +32,11 @@ use crate::protocol::{
     SESSION_NOT_FOUND,
 };
 
+/// The most values one `completion/complete` page may hold: the MCP
+/// completion result schema allows at most 100. [`ServerConfig::max_n`]
+/// can lower the page size below this but never raise it above.
+pub const MAX_PAGE_VALUES: usize = 100;
+
 /// Server-level admission limits. The engine's own [`SynthesisConfig`]
 /// budgets stay the per-query ceiling; these bound the server around it.
 ///
@@ -41,6 +46,7 @@ pub struct ServerConfig {
     /// Maximum concurrently open sessions (`env/open` refuses beyond it).
     pub max_sessions: usize,
     /// Maximum page size per `completion/complete`; larger `n`s clamp.
+    /// Values above [`MAX_PAGE_VALUES`] act as [`MAX_PAGE_VALUES`].
     pub max_n: usize,
     /// Maximum parsed-but-unserved requests before the transport refuses
     /// new work with an `OVERLOADED` error.
@@ -55,7 +61,7 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             max_sessions: 64,
-            max_n: 256,
+            max_n: MAX_PAGE_VALUES,
             max_queue_depth: 256,
             workers: 1,
         }
@@ -399,7 +405,7 @@ impl Server {
             })?)?;
         let n = optional_u64(params, "n")?
             .unwrap_or(10)
-            .min(self.config.max_n as u64) as usize;
+            .min(self.config.max_n.min(MAX_PAGE_VALUES) as u64) as usize;
         let cursor = optional_u64(params, "cursor")?.unwrap_or(0) as usize;
 
         let mut query = Query::new(goal)

@@ -12,8 +12,13 @@ use insynth_server::{parse_json, Json};
 
 const SCRIPT: &str = include_str!("data/script.jsonl");
 
-/// Runs the binary over the script and returns raw stdout.
+/// Runs the binary over the scripted session and returns raw stdout.
 fn run_scripted_session(extra_args: &[&str]) -> String {
+    run_session(SCRIPT, extra_args)
+}
+
+/// Runs the binary over `script` and returns raw stdout.
+fn run_session(script: &str, extra_args: &[&str]) -> String {
     let mut child = Command::new(env!("CARGO_BIN_EXE_insynth-server"))
         .args(extra_args)
         .stdin(Stdio::piped())
@@ -25,7 +30,7 @@ fn run_scripted_session(extra_args: &[&str]) -> String {
         .stdin
         .take()
         .expect("stdin piped")
-        .write_all(SCRIPT.as_bytes())
+        .write_all(script.as_bytes())
         .expect("write script");
     // Dropping stdin (write_all's temporary) closes it; the server exits at
     // EOF once every response is flushed.
@@ -231,4 +236,28 @@ fn pooled_server_still_answers_in_arrival_order() {
         assert_eq!(field(response, &["id"]).as_u64(), Some(i as u64 + 1));
     }
     assert!(field(&responses[11], &["id"]).is_null());
+}
+
+#[test]
+fn pages_never_exceed_the_protocol_limit_of_100_values() {
+    // `s : A -> A` makes A infinitely inhabited, so a 250-value page has
+    // more to offer than any page may hold.
+    let script = concat!(
+        r#"{"id": 1, "method": "env/open", "params": {"env": [{"name": "a", "ty": "A"}, "#,
+        r#"{"name": "s", "ty": {"args": ["A"], "ret": "A"}}]}}"#,
+        "\n",
+        r#"{"id": 2, "method": "completion/complete", "params": {"session": 1, "goal": "A", "n": 250}}"#,
+        "\n",
+    );
+    for args in [&[][..], &["--max-n", "250"][..]] {
+        let output = run_session(script, args);
+        let page =
+            parse_json(output.lines().nth(1).expect("a completion reply")).expect("response JSON");
+        assert_eq!(terms(&page).len(), 100, "page size with args {args:?}");
+        assert_eq!(
+            field(&page, &["result", "has_more"]).as_bool(),
+            Some(true),
+            "with args {args:?}"
+        );
+    }
 }

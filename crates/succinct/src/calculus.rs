@@ -72,19 +72,35 @@ pub fn strip_rule<S: TypeStore>(store: &mut S, request: Request) -> BaseRequest 
 
 /// The MATCH rule: for a base request `t ;Γ ?`, every member `S → t` of Γ with
 /// return type `t` yields a reachability term `t ;Γ (S, ∅)`.
+///
+/// This is the reference form of the rule: a linear scan of Γ per request.
+/// The exploration phase answers MATCH from a per-environment `ret → members`
+/// index instead, and its tests check that the index returns exactly these
+/// terms, in this order (ascending member id).
 pub fn match_rule<S: TypeStore>(store: &S, request: BaseRequest) -> Vec<ReachabilityTerm> {
     store
         .env_types(request.env)
         .iter()
         .filter(|&&member| store.ret_of(member) == request.ret)
-        .map(|&member| ReachabilityTerm {
-            ret: request.ret,
-            env: request.env,
-            decl_ty: member,
-            remaining: store.args_of(member).to_vec(),
-            witnessed: Vec::new(),
-        })
+        .map(|&member| match_term(store, request, member))
         .collect()
+}
+
+/// The term `t ;Γ (S, ∅)` that MATCH derives for `request` from the member
+/// `member = S → t` of its environment.
+pub fn match_term<S: TypeStore>(
+    store: &S,
+    request: BaseRequest,
+    member: SuccinctTyId,
+) -> ReachabilityTerm {
+    debug_assert_eq!(store.ret_of(member), request.ret);
+    ReachabilityTerm {
+        ret: request.ret,
+        env: request.env,
+        decl_ty: member,
+        remaining: store.args_of(member).to_vec(),
+        witnessed: Vec::new(),
+    }
 }
 
 /// The PROP rule: from `t ;Γ (S, ∅)` and `t' ∈ S`, issue the request `t' ;Γ ?`.

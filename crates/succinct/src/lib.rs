@@ -38,8 +38,8 @@ mod store;
 mod view;
 
 pub use calculus::{
-    match_rule, prod_rule, prop_rule, strip_rule, transfer_rule, BaseRequest, ReachabilityTerm,
-    Request,
+    match_rule, match_term, prod_rule, prop_rule, strip_rule, transfer_rule, BaseRequest,
+    ReachabilityTerm, Request,
 };
 pub use env::EnvId;
 pub use fingerprint::{EnvFingerprint, EnvFingerprintBuilder};
