@@ -19,10 +19,10 @@
 //! the rule-by-rule reference.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::BinaryHeap;
 use std::time::{Duration, Instant};
 
-use insynth_intern::Symbol;
+use insynth_intern::{IdHashMap, IdHashSet, Symbol};
 use insynth_succinct::{
     match_term, strip_rule, BaseRequest, EnvId, ReachabilityTerm, Request, ScratchStore,
     SuccinctTyId, TypeStore,
@@ -121,9 +121,9 @@ pub fn explore(
         request: initial,
     });
 
-    let mut visited: HashSet<BaseRequest> = HashSet::new();
+    let mut visited: IdHashSet<BaseRequest> = IdHashSet::default();
     let mut index = MatchIndex::default();
-    let mut seen_rets: HashSet<Symbol> = HashSet::new();
+    let mut seen_rets: IdHashSet<Symbol> = IdHashSet::default();
     let mut space = SearchSpace {
         terms: Vec::new(),
         requests_processed: 0,
@@ -183,7 +183,7 @@ pub fn explore(
 /// The MATCH rule over a lazily built per-environment `ret → members` index.
 #[derive(Debug, Default)]
 struct MatchIndex {
-    by_env: HashMap<EnvId, HashMap<Symbol, Vec<SuccinctTyId>>>,
+    by_env: IdHashMap<EnvId, IdHashMap<Symbol, Vec<SuccinctTyId>>>,
 }
 
 impl MatchIndex {
@@ -197,7 +197,7 @@ impl MatchIndex {
         request: BaseRequest,
     ) -> Vec<ReachabilityTerm> {
         let buckets = self.by_env.entry(request.env).or_insert_with(|| {
-            let mut buckets: HashMap<Symbol, Vec<SuccinctTyId>> = HashMap::new();
+            let mut buckets: IdHashMap<Symbol, Vec<SuccinctTyId>> = IdHashMap::default();
             for &member in store.env_types(request.env) {
                 buckets
                     .entry(store.ret_of(member))
@@ -244,6 +244,7 @@ mod tests {
     use insynth_succinct::{match_rule, prop_rule};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::HashSet;
 
     fn prepared(decls: Vec<Declaration>) -> PreparedEnv {
         let env: TypeEnv = decls.into_iter().collect();

@@ -13,9 +13,7 @@
 //! * [`generate_patterns_naive`] — a direct saturation of the PROD/TRANSFER
 //!   rules, used by tests to cross-check the optimized version.
 
-use std::collections::HashMap;
-
-use insynth_intern::Symbol;
+use insynth_intern::{IdHashMap, Symbol};
 use insynth_succinct::{
     prod_rule, transfer_rule, EnvId, Pattern, PatternIndex, ReachabilityTerm, ScratchStore,
     TypeStore,
@@ -110,7 +108,7 @@ pub fn generate_patterns(store: &mut ScratchStore<'_>, space: &SearchSpace) -> P
 
     // For each pending argument of each term, the (ret, env) key that will
     // discharge it once inhabited.
-    let mut waiters: HashMap<(Symbol, EnvId), Vec<usize>> = HashMap::new();
+    let mut waiters: IdHashMap<(Symbol, EnvId), Vec<usize>> = IdHashMap::default();
     let mut remaining: Vec<usize> = Vec::with_capacity(terms.len());
     let mut worklist: Vec<usize> = Vec::new();
 
@@ -209,7 +207,12 @@ pub fn generate_patterns_naive(store: &mut ScratchStore<'_>, space: &SearchSpace
 
 fn completed_pattern<S: TypeStore>(store: &S, term: &ReachabilityTerm) -> Pattern {
     // A completed term's Π is the full argument set of its matched member.
-    Pattern::new(term.env, store.args_of(term.decl_ty).to_vec(), term.ret)
+    Pattern::new(
+        term.env,
+        term.decl_ty,
+        store.args_of(term.decl_ty).to_vec(),
+        term.ret,
+    )
 }
 
 #[cfg(test)]
@@ -237,7 +240,19 @@ mod tests {
         let space = explore(&prepared, &mut store, goal, &ExploreLimits::default());
         let fast = generate_patterns(&mut store, &space);
         let naive = generate_patterns_naive(&mut store, &space);
+        for pattern in fast.patterns().iter().chain(naive.patterns()) {
+            assert_head_is_interned_args_and_ret(&mut store, pattern);
+        }
         f(&prepared, &mut store, fast, naive)
+    }
+
+    /// A pattern's head is the interned `{args} → ret`, found without
+    /// interning anything new.
+    fn assert_head_is_interned_args_and_ret(store: &mut ScratchStore<'_>, pattern: &Pattern) {
+        let before = store.ty_count();
+        let looked_up = store.mk_ty(pattern.args.clone(), pattern.ret);
+        assert_eq!(store.ty_count(), before, "{{args}} -> ret was not interned");
+        assert_eq!(pattern.head, looked_up);
     }
 
     fn as_set(p: &PatternSet) -> HashSet<Pattern> {

@@ -12,6 +12,9 @@
 //! * **edges** are weighted applications: for every pattern of a goal, the
 //!   `Select`-resolved declarations that realize it, each carrying its weight
 //!   and the hole types of its arguments (pre-uncurried, pre-σ-lowered);
+//!   a pattern's `Select` key is its `head`, the member MATCH found, and a
+//!   declaration's argument hole types come from the σ ids the prepared
+//!   environment recorded for its arguments (see *Building the graph*);
 //! * a read-only **environment union table** resolves the environment at a
 //!   hole without touching (or locking) any interner.
 //!
@@ -79,6 +82,21 @@
 //!   [`generate_terms_best_first`] on a heuristic-carrying graph — uses
 //!   private caches and leaves the persisted ones untouched.)
 //!
+//! # Building the graph
+//!
+//! The build's first pass interns, per pattern, the hole types of every
+//! declaration `Select` returns for the pattern's head, once per
+//! declaration. It re-derives nothing the earlier phases already know: the
+//! head is the `Select` key as is, and each argument's σ id comes from the
+//! prepared environment's argument table. That id finds the argument's hole
+//! type in a dense `σ id → hole type` table without hashing a `Ty`. σ is not
+//! injective on function types — `A → B → C` and `B → A → C` share the image
+//! `{A, B} → C` — so a hit counts only if the stored hole type's `Ty` equals
+//! the argument, compared in place along the declaration's arrow spine. A
+//! hit whose `Ty` differs, and a first encounter, take the `Ty`-keyed
+//! interning; either way the hole types and their ids are those the
+//! `Ty`-keyed interning alone would assign.
+//!
 //! # Example
 //!
 //! ```
@@ -116,7 +134,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use insynth_intern::Symbol;
+use insynth_intern::{IdHashMap, Symbol};
 use insynth_lambda::{Param, Term, Ty};
 use insynth_succinct::{EnvId, ScratchStore, SuccinctTyId, TypeStore};
 
@@ -219,7 +237,7 @@ pub struct DerivationGraph {
     /// [`PatternIndex`](insynth_succinct::PatternIndex) goal order, packed
     /// into contiguous struct-of-arrays slabs.
     edges: EdgeSlab,
-    goal_ids: HashMap<(EnvId, Symbol), u32>,
+    goal_ids: IdHashMap<(EnvId, Symbol), u32>,
     tys: Vec<HoleTy>,
     ty_ids: HashMap<Ty, HoleTyId>,
     /// Member lists of the query-local overlay environments only (raw ids
@@ -240,15 +258,19 @@ pub struct DerivationGraph {
     /// Persisted hole-goal memo: goal resolution + completion bound per
     /// `(environment, hole type)`, accumulated across walks in the graph's
     /// natural mode (values are deterministic, so merging is safe).
-    walk_memo: Mutex<HashMap<(EnvId, HoleTyId), HoleGoal>>,
+    walk_memo: Mutex<WalkMemo>,
     /// Persisted expansion cache: the dead-checked, bound-summed
     /// declaration-headed successors per `(environment, goal node)`.
     walk_expansions: Mutex<ExpansionCache>,
 }
 
+/// The hole-goal memo's shape: per `(environment, hole type)`, the resolved
+/// goal and its completion bound.
+type WalkMemo = IdHashMap<(EnvId, HoleTyId), HoleGoal>;
+
 /// The expansion cache's shape: per `(environment, goal node)`, the shared
 /// list of surviving declaration-headed successor variants.
-type ExpansionCache = HashMap<(EnvId, u32), Arc<[CachedVariant]>>;
+type ExpansionCache = IdHashMap<(EnvId, u32), Arc<[CachedVariant]>>;
 
 /// The admissible completion-cost heuristic: for every goal node, a lower
 /// bound on the weight of the cheapest complete term a hole at that goal can
@@ -299,13 +321,20 @@ impl DerivationGraph {
     /// path; the output is byte-identical either way).
     ///
     /// The build is split into three passes so the parallel one touches no
-    /// interner: a *sequential interning pass* replays exactly the
-    /// single-thread interning sequence (pattern `wanted` types, the hole
-    /// types of every selected declaration's arguments), a *parallel
+    /// interner: a *sequential interning pass* interns the hole types of
+    /// every selected declaration's arguments in a fixed order, a *parallel
     /// resolution pass* turns each variant's `Select` list into edge triples
     /// reading only immutable state, and a *sequential assembly pass*
     /// concatenates the per-chunk results into the [`EdgeSlab`] in variant
     /// order.
+    ///
+    /// The interning pass walks the goals and their patterns in index order.
+    /// A pattern's variant `wanted` type is its `head`. For each declaration
+    /// `Select(head)` returns, the first time the pass meets it, the argument
+    /// hole types are resolved from the prepared environment's argument
+    /// table through the dense σ-id shortcut, confirmed by `Ty` equality,
+    /// falling back to `Ty`-keyed interning (see the module docs, *Building
+    /// the graph*).
     pub fn build_with_threads(
         prepared: &Arc<PreparedEnv>,
         store: &mut ScratchStore<'_>,
@@ -315,8 +344,7 @@ impl DerivationGraph {
         goal: &Ty,
         threads: usize,
     ) -> DerivationGraph {
-        let mut tys: Vec<HoleTy> = Vec::new();
-        let mut ty_ids: HashMap<Ty, HoleTyId> = HashMap::new();
+        let mut holes = HoleTyTable::new(prepared.store.ty_count());
 
         // Hole types of each declaration's uncurried arguments, shared by
         // every edge that declaration heads.
@@ -325,7 +353,8 @@ impl DerivationGraph {
         // Pass 1 (sequential): interning, in exactly the order the
         // single-threaded build performs it.
         let index = patterns.index();
-        let mut goal_ids = HashMap::with_capacity(index.goal_count());
+        let mut goal_ids =
+            IdHashMap::with_capacity_and_hasher(index.goal_count(), Default::default());
         let mut node_envs = Vec::with_capacity(index.goal_count());
         let mut node_offsets = Vec::with_capacity(index.goal_count() + 1);
         node_offsets.push(0u32);
@@ -335,13 +364,21 @@ impl DerivationGraph {
             goal_ids.insert((goal_env, ret), node_envs.len() as u32);
             node_envs.push(goal_env);
             for pattern in index.patterns_of(goal_id) {
-                let wanted = store.mk_ty(pattern.args.clone(), ret);
+                debug_assert_eq!(pattern.ret, ret);
+                let wanted = pattern.head;
                 for &decl_idx in prepared.select(wanted) {
                     if decl_args[decl_idx].is_none() {
-                        let (rho, _) = env.decls()[decl_idx].ty.uncurry();
-                        let args: Vec<HoleTyId> = rho
+                        let mut spine = &env.decls()[decl_idx].ty;
+                        let args: Vec<HoleTyId> = prepared
+                            .decl_arg_succs(decl_idx)
                             .iter()
-                            .map(|t| intern_hole_ty(store, &mut tys, &mut ty_ids, t))
+                            .map(|&succ| {
+                                let Ty::Arrow(arg, rest) = spine else {
+                                    unreachable!("the argument table follows the arrow spine")
+                                };
+                                spine = rest;
+                                holes.intern_arg(store, arg, succ)
+                            })
                             .collect();
                         decl_args[decl_idx] = Some(args.into());
                     }
@@ -355,7 +392,8 @@ impl DerivationGraph {
         // variant's `Select` list into packed edge slabs.
         let edges = resolve_edges(prepared, &decl_args, node_offsets, variant_wanted, threads);
 
-        let root_ty = intern_hole_ty(store, &mut tys, &mut ty_ids, goal);
+        let root_ty = holes.intern(store, goal);
+        let HoleTyTable { tys, ty_ids, .. } = holes;
 
         // Snapshot the overlay's environment table after all interning is
         // done, so the union lookup sees every environment the walk can
@@ -388,8 +426,8 @@ impl DerivationGraph {
             lambda_weight,
             monotone,
             heuristic: None,
-            walk_memo: Mutex::new(HashMap::new()),
-            walk_expansions: Mutex::new(HashMap::new()),
+            walk_memo: Mutex::new(WalkMemo::default()),
+            walk_expansions: Mutex::new(ExpansionCache::default()),
         };
         if graph.monotone {
             graph.heuristic = Some(compute_heuristic(&graph, &node_envs));
@@ -513,37 +551,68 @@ pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
     mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// Recursively interns a simple type and its uncurried arguments as hole
-/// types.
-fn intern_hole_ty(
-    store: &mut ScratchStore<'_>,
-    tys: &mut Vec<HoleTy>,
-    ty_ids: &mut HashMap<Ty, HoleTyId>,
-    ty: &Ty,
-) -> HoleTyId {
-    if let Some(&id) = ty_ids.get(ty) {
-        return id;
+/// The hole types interned by one graph build.
+///
+/// `Ty`-keyed interning is the definition; `by_succ` is a shortcut for
+/// callers that already know the σ id of the type they intern.
+struct HoleTyTable {
+    tys: Vec<HoleTy>,
+    ty_ids: HashMap<Ty, HoleTyId>,
+    /// Per base-store σ id, the first hole type interned with that image.
+    /// Distinct types can share an image, so a hit must be confirmed.
+    by_succ: Vec<Option<HoleTyId>>,
+}
+
+impl HoleTyTable {
+    fn new(base_ty_count: usize) -> Self {
+        HoleTyTable {
+            tys: Vec::new(),
+            ty_ids: HashMap::new(),
+            by_succ: vec![None; base_ty_count],
+        }
     }
-    let (arg_tys, _) = ty.uncurry();
-    let args: Vec<HoleTyId> = arg_tys
-        .iter()
-        .map(|a| intern_hole_ty(store, tys, ty_ids, a))
-        .collect();
-    let succ = store.sigma(ty);
-    let ret = store.ret_of(succ);
-    let mut arg_succs: Vec<SuccinctTyId> = args.iter().map(|&a| tys[a.as_usize()].succ).collect();
-    arg_succs.sort_unstable();
-    arg_succs.dedup();
-    let id = HoleTyId(tys.len() as u32);
-    tys.push(HoleTy {
-        ty: ty.clone(),
-        ret,
-        args: args.into(),
-        succ,
-        arg_succs,
-    });
-    ty_ids.insert(ty.clone(), id);
-    id
+
+    /// Interns `ty`, whose σ image is known to be `succ`.
+    fn intern_arg(
+        &mut self,
+        store: &mut ScratchStore<'_>,
+        ty: &Ty,
+        succ: SuccinctTyId,
+    ) -> HoleTyId {
+        match self.by_succ.get(succ.as_usize()) {
+            Some(&Some(id)) if self.tys[id.as_usize()].ty == *ty => id,
+            _ => self.intern(store, ty),
+        }
+    }
+
+    /// Interns `ty` as a hole type, recursively interning the types of its
+    /// uncurried arguments first.
+    fn intern(&mut self, store: &mut ScratchStore<'_>, ty: &Ty) -> HoleTyId {
+        if let Some(&id) = self.ty_ids.get(ty) {
+            return id;
+        }
+        let (arg_tys, _) = ty.uncurry();
+        let args: Vec<HoleTyId> = arg_tys.iter().map(|a| self.intern(store, a)).collect();
+        let succ = store.sigma(ty);
+        let ret = store.ret_of(succ);
+        let mut arg_succs: Vec<SuccinctTyId> =
+            args.iter().map(|&a| self.tys[a.as_usize()].succ).collect();
+        arg_succs.sort_unstable();
+        arg_succs.dedup();
+        let id = HoleTyId(self.tys.len() as u32);
+        self.tys.push(HoleTy {
+            ty: ty.clone(),
+            ret,
+            args: args.into(),
+            succ,
+            arg_succs,
+        });
+        self.ty_ids.insert(ty.clone(), id);
+        if let Some(slot @ None) = self.by_succ.get_mut(succ.as_usize()) {
+            *slot = Some(id);
+        }
+        id
+    }
 }
 
 /// One worker's packed share of the edge-resolution pass: per-variant edge
@@ -644,7 +713,7 @@ fn compute_heuristic(graph: &DerivationGraph, node_envs: &[EnvId]) -> Heuristic 
             is_param[a.as_usize()] = true;
         }
     }
-    let mut binder_tys: HashMap<SuccinctTyId, Vec<HoleTyId>> = HashMap::new();
+    let mut binder_tys: IdHashMap<SuccinctTyId, Vec<HoleTyId>> = IdHashMap::default();
     for (i, info) in graph.tys.iter().enumerate() {
         if is_param[i] {
             binder_tys
@@ -669,7 +738,7 @@ fn compute_heuristic(graph: &DerivationGraph, node_envs: &[EnvId]) -> Heuristic 
     let mut tail_of: Vec<Vec<u32>> = vec![Vec::new(); node_count];
     // Initial relaxations from edges with no (live) arguments.
     let mut ready: Vec<(Weight, u32)> = Vec::new();
-    let mut resolve_memo: HashMap<(EnvId, HoleTyId), Option<(EnvId, u32)>> = HashMap::new();
+    let mut resolve_memo: IdHashMap<(EnvId, HoleTyId), Option<(EnvId, u32)>> = IdHashMap::default();
 
     for (v, &env_v) in node_envs.iter().enumerate().take(node_count) {
         for vi in graph.edges.variants(v as u32) {
@@ -1094,7 +1163,7 @@ const COST_GRID: f64 = (1u64 << 24) as f64;
 fn hole_goal(
     graph: &DerivationGraph,
     heuristic: Option<&Heuristic>,
-    memo: &mut HashMap<(EnvId, HoleTyId), HoleGoal>,
+    memo: &mut WalkMemo,
     ctx: EnvId,
     ty: HoleTyId,
 ) -> HoleGoal {
@@ -1274,7 +1343,7 @@ pub(crate) struct EmittedTerm {
 /// state is never persisted).
 pub(crate) struct WalkState {
     queue: BinaryHeap<Entry>,
-    memo: HashMap<(EnvId, HoleTyId), HoleGoal>,
+    memo: WalkMemo,
     expansions: ExpansionCache,
     seeded_memo: usize,
     seeded_expansions: usize,
@@ -1311,15 +1380,15 @@ impl WalkState {
         // graph) uses private caches and leaves the persisted ones
         // untouched.
         let persist = astar == graph.heuristic.is_some();
-        let mut memo: HashMap<(EnvId, HoleTyId), HoleGoal> = if persist {
+        let mut memo: WalkMemo = if persist {
             lock_recovering(&graph.walk_memo).clone()
         } else {
-            HashMap::new()
+            WalkMemo::default()
         };
         let expansions: ExpansionCache = if persist {
             lock_recovering(&graph.walk_expansions).clone()
         } else {
-            HashMap::new()
+            ExpansionCache::default()
         };
         // The merge back is skipped when the walk added nothing — after
         // warm-up the caches are saturated for a goal, and re-inserting
@@ -2166,6 +2235,99 @@ mod tests {
         let recold = generate_terms(&graph, &env, 6, &limits);
         assert_eq!(rendered(&recold), rendered(&cold));
         assert_eq!(recold.steps, cold.steps);
+    }
+
+    #[test]
+    fn sigma_colliding_arguments_get_distinct_hole_types() {
+        // σ(A → B → C) = σ(B → A → C) = {A, B} → C, and σ(A → A → C) =
+        // σ(A → C) = {A} → C: the σ-id shortcut of the build must still
+        // give each argument type its own hole type, binder order included.
+        let ab = Ty::fun(vec![Ty::base("A"), Ty::base("B")], Ty::base("C"));
+        let ba = Ty::fun(vec![Ty::base("B"), Ty::base("A")], Ty::base("C"));
+        let aa = Ty::fun(vec![Ty::base("A"), Ty::base("A")], Ty::base("C"));
+        let a_c = Ty::fun(vec![Ty::base("A")], Ty::base("C"));
+        let decls = vec![
+            Declaration::new("x", Ty::base("A"), DeclKind::Local),
+            Declaration::new(
+                "join",
+                Ty::fun(vec![Ty::base("A"), Ty::base("B")], Ty::base("C")),
+                DeclKind::Local,
+            ),
+            Declaration::new("pick", a_c.clone(), DeclKind::Local),
+            Declaration::new(
+                "useAB",
+                Ty::fun(vec![ab.clone()], Ty::base("Out")),
+                DeclKind::Local,
+            ),
+            Declaration::new(
+                "useBA",
+                Ty::fun(vec![ba.clone()], Ty::base("Out")),
+                DeclKind::Local,
+            ),
+            Declaration::new(
+                "useAA",
+                Ty::fun(vec![aa.clone()], Ty::base("Out")),
+                DeclKind::Local,
+            ),
+            Declaration::new(
+                "useAC",
+                Ty::fun(vec![a_c.clone()], Ty::base("Out")),
+                DeclKind::Local,
+            ),
+        ];
+        let (walked, reference, graph) = both_walks(
+            decls.clone(),
+            Ty::base("Out"),
+            20,
+            &GenerateLimits::default(),
+        );
+
+        let ids: Vec<HoleTyId> = [&ab, &ba, &aa, &a_c]
+            .iter()
+            .map(|ty| graph.hole_ty(ty).expect("argument type is interned"))
+            .collect();
+        for (i, id) in ids.iter().enumerate() {
+            assert!(!ids[..i].contains(id), "hole types {i} and earlier collide");
+        }
+        assert_eq!(
+            graph.tys[ids[0].as_usize()].succ,
+            graph.tys[ids[1].as_usize()].succ
+        );
+        assert_eq!(
+            graph.tys[ids[2].as_usize()].succ,
+            graph.tys[ids[3].as_usize()].succ
+        );
+        let a = graph.hole_ty(&Ty::base("A")).unwrap();
+        let b = graph.hole_ty(&Ty::base("B")).unwrap();
+        assert_eq!(&*graph.tys[ids[0].as_usize()].args, &[a, b]);
+        assert_eq!(&*graph.tys[ids[1].as_usize()].args, &[b, a]);
+        assert_eq!(&*graph.tys[ids[2].as_usize()].args, &[a, a]);
+
+        // Each `use*` edge carries the hole type of its own argument.
+        for (name, id) in ["useAB", "useBA", "useAA", "useAC"].iter().zip(&ids) {
+            let decl = decls.iter().position(|d| d.name == *name).unwrap() as u32;
+            let edge = graph
+                .edges
+                .edge_decl
+                .iter()
+                .position(|&d| d == decl)
+                .unwrap_or_else(|| panic!("{name} heads no edge"));
+            assert_eq!(&*graph.edges.edge_args[edge], &[*id], "{name}");
+        }
+
+        assert_eq!(rendered(&walked), rendered(&reference));
+        let terms: Vec<String> = walked.terms.iter().map(|r| r.term.to_string()).collect();
+        for expected in [
+            "useAB((var1, var2) => join(var1, var2))",
+            "useBA((var1, var2) => join(var2, var1))",
+            "useAA((var1, var2) => pick(var2))",
+            "useAC(var1 => pick(var1))",
+        ] {
+            assert!(
+                terms.iter().any(|t| t == expected),
+                "{expected} missing from {terms:?}"
+            );
+        }
     }
 
     #[test]

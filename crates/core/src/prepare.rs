@@ -6,6 +6,15 @@
 //! reconstruction phase, Figure 4/10), and the per-succinct-type weights that
 //! drive the priority queues (§5.6).
 //!
+//! Lowering a declaration `τ1 → … → τn → v` also lowers each of its
+//! uncurried arguments `τi`; the preparation records those argument σ ids,
+//! in order and with duplicates kept, in a flat *argument table*
+//! ([`PreparedEnv::decl_arg_succs`]). The derivation graph reads a selected
+//! declaration's argument hole types off that table instead of re-deriving
+//! them from the declaration's simple type on every build. The ids come out
+//! of the same σ run that lowers the declaration, so recording them interns
+//! nothing extra (see [`TypeStore::sigma_uncurried`]).
+//!
 //! A [`PreparedEnv`] is immutable once built: queries read it through a shared
 //! reference and intern any query-local types into a [`ScratchStore`] overlay
 //! obtained from [`PreparedEnv::scratch`]. That is what lets one prepared
@@ -50,11 +59,10 @@
 //!
 //! [`SynthesisConfig::sigma_shards`]: crate::SynthesisConfig::sigma_shards
 
-use std::collections::HashMap;
-
-use insynth_intern::{StableHasher, Symbol};
+use insynth_intern::{IdHashMap, StableHasher, Symbol};
 use insynth_succinct::{
     EnvFingerprint, EnvFingerprintBuilder, EnvId, ScratchStore, SuccinctStore, SuccinctTyId,
+    TypeStore,
 };
 
 use insynth_lambda::Ty;
@@ -81,6 +89,8 @@ struct ShardLowering {
     store: SuccinctStore,
     /// Local σ image of each declaration in this shard's chunk.
     decl_local: Vec<SuccinctTyId>,
+    /// Local argument table of the chunk (see [`DeclArgs`]).
+    args_local: DeclArgs,
     /// Local `ty_count` after each declaration: the types first interned
     /// while lowering chunk declaration `i` occupy the local id range
     /// `watermarks[i-1]..watermarks[i]` (`0..watermarks[0]` for the first).
@@ -90,15 +100,56 @@ struct ShardLowering {
 fn lower_chunk(decls: &[Declaration]) -> ShardLowering {
     let mut store = SuccinctStore::new();
     let mut decl_local = Vec::with_capacity(decls.len());
+    let mut args_local = DeclArgs::with_capacity(decls.len());
     let mut watermarks = Vec::with_capacity(decls.len());
     for decl in decls {
-        decl_local.push(store.sigma(&decl.ty));
+        decl_local.push(args_local.lower(&mut store, &decl.ty));
         watermarks.push(store.ty_count() as u32);
     }
     ShardLowering {
         store,
         decl_local,
+        args_local,
         watermarks,
+    }
+}
+
+/// The argument table: for each declaration, the σ ids of its uncurried
+/// arguments, in order and with duplicates kept. Declaration `i`'s entries
+/// are `ids[offsets[i]..offsets[i + 1]]`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct DeclArgs {
+    /// Prefix offsets, one per declaration plus a leading `0`.
+    offsets: Vec<u32>,
+    ids: Vec<SuccinctTyId>,
+}
+
+impl DeclArgs {
+    fn with_capacity(decls: usize) -> Self {
+        let mut offsets = Vec::with_capacity(decls + 1);
+        offsets.push(0);
+        DeclArgs {
+            offsets,
+            ids: Vec::with_capacity(decls),
+        }
+    }
+
+    /// σ-lowers the next declaration's type into `store`, recording its
+    /// argument ids, and returns its σ image.
+    fn lower(&mut self, store: &mut SuccinctStore, ty: &Ty) -> SuccinctTyId {
+        let succ = store.sigma_uncurried(ty, &mut self.ids);
+        self.offsets.push(self.ids.len() as u32);
+        succ
+    }
+
+    /// Appends the next declaration's argument ids.
+    fn push(&mut self, args: impl IntoIterator<Item = SuccinctTyId>) {
+        self.ids.extend(args);
+        self.offsets.push(self.ids.len() as u32);
+    }
+
+    fn of(&self, decl: usize) -> &[SuccinctTyId] {
+        &self.ids[self.offsets[decl] as usize..self.offsets[decl + 1] as usize]
     }
 }
 
@@ -111,13 +162,15 @@ pub struct PreparedEnv {
     /// For each declaration (by index into the original [`TypeEnv`]), the σ
     /// image of its type.
     pub decl_succ: Vec<SuccinctTyId>,
+    /// The argument table, read through [`PreparedEnv::decl_arg_succs`].
+    decl_args: DeclArgs,
     /// For each declaration, its weight under the active [`WeightConfig`].
     pub decl_weight: Vec<Weight>,
     /// The `Select` index: succinct type → indices of declarations whose type
     /// maps onto it.
-    pub by_succ: HashMap<SuccinctTyId, Vec<usize>>,
+    pub by_succ: IdHashMap<SuccinctTyId, Vec<usize>>,
     /// Minimum declaration weight per succinct type (the `w(t, Γo)` of §4).
-    pub ty_weight: HashMap<SuccinctTyId, Weight>,
+    pub ty_weight: IdHashMap<SuccinctTyId, Weight>,
     /// The interned initial succinct environment Γ = σ(Γo).
     pub init_env: EnvId,
     /// The content address of the environment this preparation was computed
@@ -208,13 +261,22 @@ impl PreparedEnv {
     ) -> Self {
         let mut store = SuccinctStore::new();
         let mut decl_succ = Vec::with_capacity(env.len());
-        let mut by_succ: HashMap<SuccinctTyId, Vec<usize>> = HashMap::new();
+        let mut decl_args = DeclArgs::with_capacity(env.len());
+        let mut by_succ: IdHashMap<SuccinctTyId, Vec<usize>> = IdHashMap::default();
         for (idx, decl) in env.iter().enumerate() {
-            let succ = store.sigma(&decl.ty);
+            let succ = decl_args.lower(&mut store, &decl.ty);
             decl_succ.push(succ);
             by_succ.entry(succ).or_default().push(idx);
         }
-        Self::finish_prepare(store, decl_succ, by_succ, env, weights, fingerprint)
+        Self::finish_prepare(
+            store,
+            decl_succ,
+            decl_args,
+            by_succ,
+            env,
+            weights,
+            fingerprint,
+        )
     }
 
     /// [`PreparedEnv::prepare`] with σ-lowering sharded across `shards`
@@ -267,10 +329,14 @@ impl PreparedEnv {
         // Deterministic merge: revisit declarations in global order; for each,
         // replay the shard-local types its lowering first interned (its
         // watermark range), resolving local argument ids through the shard's
-        // memo — always present, since local args precede their users.
+        // memo — always present, since local args precede their users. The
+        // argument table maps through the same memo: a declaration's argument
+        // types are interned while lowering it, so they lie below its
+        // watermark.
         let mut store = SuccinctStore::new();
         let mut decl_succ = Vec::with_capacity(env.len());
-        let mut by_succ: HashMap<SuccinctTyId, Vec<usize>> = HashMap::new();
+        let mut decl_args = DeclArgs::with_capacity(env.len());
+        let mut by_succ: IdHashMap<SuccinctTyId, Vec<usize>> = IdHashMap::default();
         let mut resolved: Vec<Vec<SuccinctTyId>> = lowered
             .iter()
             .map(|s| Vec::with_capacity(s.store.ty_count()))
@@ -290,9 +356,18 @@ impl PreparedEnv {
             }
             let succ = memo[shard.decl_local[off].as_usize()];
             decl_succ.push(succ);
+            decl_args.push(shard.args_local.of(off).iter().map(|a| memo[a.as_usize()]));
             by_succ.entry(succ).or_default().push(idx);
         }
-        Self::finish_prepare(store, decl_succ, by_succ, env, weights, fingerprint)
+        Self::finish_prepare(
+            store,
+            decl_succ,
+            decl_args,
+            by_succ,
+            env,
+            weights,
+            fingerprint,
+        )
     }
 
     /// Incrementally re-prepares for `env`, which must extend the environment
@@ -324,13 +399,22 @@ impl PreparedEnv {
         debug_assert_eq!(prefix_len, base.decl_succ.len());
         let mut store = base.store.clone();
         let mut decl_succ = base.decl_succ.clone();
+        let mut decl_args = base.decl_args.clone();
         let mut by_succ = base.by_succ.clone();
         for (idx, decl) in env.iter().enumerate().skip(prefix_len) {
-            let succ = store.sigma(&decl.ty);
+            let succ = decl_args.lower(&mut store, &decl.ty);
             decl_succ.push(succ);
             by_succ.entry(succ).or_default().push(idx);
         }
-        Self::finish_prepare(store, decl_succ, by_succ, env, weights, fingerprint)
+        Self::finish_prepare(
+            store,
+            decl_succ,
+            decl_args,
+            by_succ,
+            env,
+            weights,
+            fingerprint,
+        )
     }
 
     /// Shared tail of fresh and incremental preparation: the weight tables
@@ -338,14 +422,15 @@ impl PreparedEnv {
     fn finish_prepare(
         mut store: SuccinctStore,
         decl_succ: Vec<SuccinctTyId>,
-        by_succ: HashMap<SuccinctTyId, Vec<usize>>,
+        decl_args: DeclArgs,
+        by_succ: IdHashMap<SuccinctTyId, Vec<usize>>,
         env: &TypeEnv,
         weights: &WeightConfig,
         fingerprint: EnvFingerprint,
     ) -> Self {
         debug_assert_eq!(fingerprint, Self::fingerprint_of(env, weights));
         let mut decl_weight = Vec::with_capacity(env.len());
-        let mut ty_weight: HashMap<SuccinctTyId, Weight> = HashMap::new();
+        let mut ty_weight: IdHashMap<SuccinctTyId, Weight> = IdHashMap::default();
         for (idx, decl) in env.iter().enumerate() {
             let w = weights.declaration_weight(decl);
             decl_weight.push(w);
@@ -362,6 +447,7 @@ impl PreparedEnv {
         PreparedEnv {
             store,
             decl_succ,
+            decl_args,
             decl_weight,
             by_succ,
             ty_weight,
@@ -390,6 +476,12 @@ impl PreparedEnv {
         ScratchStore::new(&self.store)
     }
 
+    /// The σ images of declaration `decl`'s uncurried arguments `τ1 … τn`,
+    /// in order and with duplicates kept (the argument table).
+    pub fn decl_arg_succs(&self, decl: usize) -> &[SuccinctTyId] {
+        self.decl_args.of(decl)
+    }
+
     /// The declarations whose σ image is exactly `succ` (the `Select` function
     /// restricted to the original environment).
     pub fn select(&self, succ: SuccinctTyId) -> &[usize] {
@@ -413,9 +505,10 @@ impl PreparedEnv {
     }
 
     /// Full byte-level identity against another preparation: the fingerprint,
-    /// every index (`decl_succ`, `decl_weight`, `by_succ`, `ty_weight`,
-    /// `init_env`) and every store table (symbol names, type records, the
-    /// interned initial environment) must match, id for id. This is the
+    /// every index (`decl_succ`, the argument table, `decl_weight`,
+    /// `by_succ`, `ty_weight`, `init_env`) and every store table (symbol
+    /// names, type records, the interned initial environment) must match, id
+    /// for id. This is the
     /// contract [`PreparedEnv::prepare_sharded`] documents; the
     /// `baseline --check` shard-invariance gate and the property tests hold
     /// arbitrary shard counts to it.
@@ -423,6 +516,7 @@ impl PreparedEnv {
         if self.fingerprint != other.fingerprint
             || self.init_env != other.init_env
             || self.decl_succ != other.decl_succ
+            || self.decl_args != other.decl_args
             || self.decl_weight != other.decl_weight
             || self.by_succ != other.by_succ
             || self.ty_weight != other.ty_weight
@@ -581,6 +675,7 @@ mod tests {
         let fresh = PreparedEnv::prepare(&new_env, &weights);
 
         assert_eq!(incremental.decl_succ, fresh.decl_succ);
+        assert_eq!(incremental.decl_args, fresh.decl_args);
         assert_eq!(incremental.decl_weight, fresh.decl_weight);
         assert_eq!(incremental.fingerprint, fresh.fingerprint);
         assert_eq!(incremental.by_succ, fresh.by_succ);
@@ -617,6 +712,7 @@ mod tests {
     /// must agree between a sharded and a sequential preparation.
     fn assert_prepare_identical(a: &PreparedEnv, b: &PreparedEnv) {
         assert_eq!(a.decl_succ, b.decl_succ);
+        assert_eq!(a.decl_args, b.decl_args);
         assert_eq!(a.decl_weight, b.decl_weight);
         assert_eq!(a.by_succ, b.by_succ);
         assert_eq!(a.ty_weight, b.ty_weight);

@@ -17,11 +17,13 @@
 //! assert_eq!(interner.resolve(a), "FileInputStream");
 //! ```
 
+mod idhash;
 mod idvec;
 mod interner;
 mod stable;
 mod symbol;
 
+pub use idhash::{IdHashMap, IdHashSet, IdHasher};
 pub use idvec::{Id, IdVec};
 pub use interner::Interner;
 pub use stable::StableHasher;

@@ -120,7 +120,7 @@ pub fn prop_rule(term: &ReachabilityTerm, arg: SuccinctTyId) -> Request {
 /// Panics (in debug builds) if the term still has remaining arguments.
 pub fn prod_rule(term: &ReachabilityTerm) -> Pattern {
     debug_assert!(term.is_leaf(), "PROD applies only to fully-witnessed terms");
-    Pattern::new(term.env, term.witnessed.clone(), term.ret)
+    Pattern::new(term.env, term.decl_ty, term.witnessed.clone(), term.ret)
 }
 
 /// The TRANSFER rule: given a term `t ;Γ (S ∪ {S' → t'}, Π)` and a witness

@@ -19,19 +19,18 @@
 //! let int = store.mk_base("Int");
 //! let string = store.base_symbol("String");
 //! let env = store.mk_env(vec![int]);
+//! let head = store.mk_ty(vec![int], string);
 //! let mut index = PatternIndex::new();
-//! assert!(index.insert(Pattern::new(env, vec![int], string)));
-//! assert!(!index.insert(Pattern::new(env, vec![int], string))); // duplicate
+//! assert!(index.insert(Pattern::new(env, head, vec![int], string)));
+//! assert!(!index.insert(Pattern::new(env, head, vec![int], string))); // duplicate
 //! let goal = index.goal(env, string).expect("goal was indexed");
 //! assert_eq!(index.patterns_of(goal).count(), 1);
 //! assert!(index.is_inhabited(string, env));
 //! ```
 
-use std::collections::HashMap;
+use insynth_intern::{IdHashMap, IdHashSet, Symbol};
 
-use insynth_intern::Symbol;
-
-use crate::{EnvId, Pattern, TypeStore};
+use crate::{EnvId, Pattern, SuccinctTyId, TypeStore};
 
 /// Dense id of a `(environment, return type)` goal in a [`PatternIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -62,7 +61,10 @@ struct GoalEntry {
 pub struct PatternIndex {
     patterns: Vec<Pattern>,
     goals: Vec<GoalEntry>,
-    ids: HashMap<(EnvId, Symbol), GoalId>,
+    ids: IdHashMap<(EnvId, Symbol), GoalId>,
+    /// The `(goal, head)` pairs already indexed. A pattern's head determines
+    /// it within its goal, so this is the duplicate check.
+    heads: IdHashSet<(GoalId, SuccinctTyId)>,
 }
 
 impl PatternIndex {
@@ -74,7 +76,7 @@ impl PatternIndex {
     /// Inserts a pattern, creating its goal node if needed.
     ///
     /// Returns `false` (and stores nothing) if an equal pattern was already
-    /// indexed under the same goal.
+    /// indexed under the same goal, i.e. one with the same `head`.
     pub fn insert(&mut self, pattern: Pattern) -> bool {
         let key = (pattern.env, pattern.ret);
         let goal = match self.ids.get(&key) {
@@ -90,15 +92,12 @@ impl PatternIndex {
                 goal
             }
         };
-        let entry = &mut self.goals[goal.as_usize()];
-        if entry
-            .members
-            .iter()
-            .any(|&i| self.patterns[i as usize] == pattern)
-        {
+        if !self.heads.insert((goal, pattern.head)) {
             return false;
         }
-        entry.members.push(self.patterns.len() as u32);
+        self.goals[goal.as_usize()]
+            .members
+            .push(self.patterns.len() as u32);
         self.patterns.push(pattern);
         true
     }
@@ -198,14 +197,24 @@ mod tests {
         (store, env, string, bool_sym)
     }
 
+    fn pattern(
+        store: &mut SuccinctStore,
+        env: EnvId,
+        args: Vec<SuccinctTyId>,
+        ret: Symbol,
+    ) -> Pattern {
+        let head = store.mk_ty(args.clone(), ret);
+        Pattern::new(env, head, args, ret)
+    }
+
     #[test]
     fn goals_are_created_in_insertion_order() {
         let (mut store, env, string, boolean) = setup();
         let int = store.mk_base("Int");
         let mut index = PatternIndex::new();
-        index.insert(Pattern::new(env, vec![int], string));
-        index.insert(Pattern::new(env, vec![], boolean));
-        index.insert(Pattern::new(env, vec![], string));
+        index.insert(pattern(&mut store, env, vec![int], string));
+        index.insert(pattern(&mut store, env, vec![], boolean));
+        index.insert(pattern(&mut store, env, vec![], string));
         let goals: Vec<_> = index.goals().collect();
         assert_eq!(goals.len(), 2);
         assert_eq!(index.goal_key(goals[0]), (env, string));
@@ -218,16 +227,21 @@ mod tests {
         let (mut store, env, string, _) = setup();
         let int = store.mk_base("Int");
         let mut index = PatternIndex::new();
-        assert!(index.insert(Pattern::new(env, vec![int], string)));
-        assert!(!index.insert(Pattern::new(env, vec![int], string)));
+        assert!(index.insert(pattern(&mut store, env, vec![int], string)));
+        assert!(!index.insert(pattern(&mut store, env, vec![int], string)));
         assert_eq!(index.len(), 1);
+        // The same head under another goal is a different pattern.
+        let other = store.mk_env(vec![]);
+        assert!(index.insert(pattern(&mut store, other, vec![int], string)));
+        assert!(!index.insert(pattern(&mut store, other, vec![int], string)));
+        assert_eq!(index.len(), 2);
     }
 
     #[test]
     fn lookup_and_inhabitation_agree() {
-        let (_, env, string, boolean) = setup();
+        let (mut store, env, string, boolean) = setup();
         let mut index = PatternIndex::new();
-        index.insert(Pattern::new(env, vec![], string));
+        index.insert(pattern(&mut store, env, vec![], string));
         assert!(index.is_inhabited(string, env));
         assert!(!index.is_inhabited(boolean, env));
         assert_eq!(index.lookup(env, string).count(), 1);

@@ -12,6 +12,12 @@ use crate::{EnvId, SuccinctTyId, TypeStore};
 /// finite representation of *all* inhabitants from which the reconstruction
 /// phase extracts concrete terms.
 ///
+/// A pattern also keeps its `head`: the environment member `{t1, …, tn} → t`
+/// that MATCH found and whose arguments it discharges. The head is always the
+/// interned type of `args` and `ret`, so it determines the pattern within its
+/// goal `(Γ, t)`; downstream phases read it instead of re-interning
+/// `{args} → ret`.
+///
 /// # Example
 ///
 /// ```
@@ -21,7 +27,8 @@ use crate::{EnvId, SuccinctTyId, TypeStore};
 /// let int = s.mk_base("Int");
 /// let string = s.base_symbol("String");
 /// let env = s.mk_env(vec![int]);
-/// let p = Pattern::new(env, vec![int], string);
+/// let head = s.mk_ty(vec![int], string);
+/// let p = Pattern::new(env, head, vec![int], string);
 /// assert_eq!(p.render(&s), "{Int}@{Int} : String");
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,14 +39,22 @@ pub struct Pattern {
     pub args: Vec<SuccinctTyId>,
     /// The base type this pattern inhabits.
     pub ret: Symbol,
+    /// The matched environment member `{args} → ret` (its interned id).
+    pub head: SuccinctTyId,
 }
 
 impl Pattern {
-    /// Creates a pattern, normalizing the argument set.
-    pub fn new(env: EnvId, mut args: Vec<SuccinctTyId>, ret: Symbol) -> Self {
+    /// Creates a pattern, normalizing the argument set. `head` must be the
+    /// interned type `{args} → ret`.
+    pub fn new(env: EnvId, head: SuccinctTyId, mut args: Vec<SuccinctTyId>, ret: Symbol) -> Self {
         args.sort_unstable();
         args.dedup();
-        Pattern { env, args, ret }
+        Pattern {
+            env,
+            args,
+            ret,
+            head,
+        }
     }
 
     /// Returns `true` if the pattern needs no arguments (a nullary witness).
@@ -71,8 +86,9 @@ mod tests {
         let b = s.mk_base("B");
         let r = s.base_symbol("R");
         let env = s.mk_env(vec![a, b]);
-        let p1 = Pattern::new(env, vec![b, a, a], r);
-        let p2 = Pattern::new(env, vec![a, b], r);
+        let head = s.mk_ty(vec![a, b], r);
+        let p1 = Pattern::new(env, head, vec![b, a, a], r);
+        let p2 = Pattern::new(env, head, vec![a, b], r);
         assert_eq!(p1, p2);
     }
 
@@ -81,7 +97,8 @@ mod tests {
         let mut s = SuccinctStore::new();
         let r = s.base_symbol("R");
         let env = s.empty_env();
-        assert!(Pattern::new(env, vec![], r).is_leaf());
+        let head = s.mk_ty(vec![], r);
+        assert!(Pattern::new(env, head, vec![], r).is_leaf());
     }
 
     #[test]
@@ -90,7 +107,8 @@ mod tests {
         let int = s.mk_base("Int");
         let string = s.base_symbol("String");
         let env = s.mk_env(vec![int]);
-        let p = Pattern::new(env, vec![int], string);
+        let head = s.mk_ty(vec![int], string);
+        let p = Pattern::new(env, head, vec![int], string);
         assert_eq!(p.render(&s), "{Int}@{Int} : String");
     }
 }

@@ -86,17 +86,36 @@ pub trait TypeStore {
     /// * `σ(v) = ∅ → v`
     /// * `σ(τ1 → τ2) = ({σ(τ1)} ∪ A(σ(τ2))) → R(σ(τ2))`
     fn sigma(&mut self, ty: &Ty) -> SuccinctTyId {
-        match ty {
-            Ty::Base(name) => self.mk_base(name),
-            Ty::Arrow(a, b) => {
-                let a_id = self.sigma(a);
-                let b_id = self.sigma(b);
-                let b_data = self.ty(b_id).clone();
-                let mut args = b_data.args;
-                args.push(a_id);
-                self.mk_ty(args, b_data.ret)
-            }
+        self.sigma_uncurried(ty, &mut Vec::new())
+    }
+
+    /// [`TypeStore::sigma`], also appending to `args` the σ image of each
+    /// uncurried argument `τ1 … τn` of `ty = τ1 → … → τn → v`, in order and
+    /// with duplicates kept.
+    ///
+    /// The recursion of σ is unrolled along the arrow spine without changing
+    /// its interning sequence: `σ(τ1) … σ(τn)`, then `∅ → v`, then each
+    /// suffix `{σ(τi), …, σ(τn)} → v` from the innermost outwards. Ids are
+    /// therefore exactly those the recursive definition hands out.
+    fn sigma_uncurried(&mut self, ty: &Ty, args: &mut Vec<SuccinctTyId>) -> SuccinctTyId {
+        let start = args.len();
+        let mut spine = ty;
+        while let Ty::Arrow(arg, rest) = spine {
+            let arg_id = self.sigma(arg);
+            args.push(arg_id);
+            spine = rest;
         }
+        let Ty::Base(name) = spine else {
+            unreachable!("an arrow spine ends at a base type")
+        };
+        let mut id = self.mk_base(name);
+        let ret = self.ret_of(id);
+        for &arg_id in args[start..].iter().rev() {
+            let mut suffix = self.args_of(id).to_vec();
+            suffix.push(arg_id);
+            id = self.mk_ty(suffix, ret);
+        }
+        id
     }
 
     /// Converts a whole simple-type environment (the images `σ(τi)` of every
@@ -201,5 +220,53 @@ mod tests {
         let mut viewed = SuccinctStore::new();
         let through_trait = TypeStore::sigma(&mut viewed, &ty);
         assert_eq!(inherent.index(), through_trait.index());
+    }
+
+    /// σ exactly as §3.2 states it, recursing on `τ1 → τ2`.
+    fn recursive_sigma(store: &mut SuccinctStore, ty: &Ty) -> SuccinctTyId {
+        match ty {
+            Ty::Base(name) => store.mk_base(name),
+            Ty::Arrow(a, b) => {
+                let a_id = recursive_sigma(store, a);
+                let b_id = recursive_sigma(store, b);
+                let mut args = store.args_of(b_id).to_vec();
+                args.push(a_id);
+                let ret = store.ret_of(b_id);
+                store.mk_ty(args, ret)
+            }
+        }
+    }
+
+    #[test]
+    fn unrolled_sigma_interns_in_the_recursive_order() {
+        let hof = Ty::fun(vec![Ty::base("Z"), Ty::base("Y")], Ty::base("X"));
+        let tys = [
+            Ty::fun(
+                vec![Ty::base("C"), hof.clone(), Ty::base("A")],
+                Ty::base("R"),
+            ),
+            Ty::fun(vec![Ty::base("A"), Ty::base("C")], Ty::base("R")),
+            Ty::fun(vec![hof.clone(), hof], Ty::base("Y")),
+            Ty::base("Q"),
+        ];
+        let mut unrolled = SuccinctStore::new();
+        let mut reference = SuccinctStore::new();
+        for ty in &tys {
+            let mut args = Vec::new();
+            let id = unrolled.sigma_uncurried(ty, &mut args);
+            assert_eq!(id, recursive_sigma(&mut reference, ty));
+            // One entry per uncurried argument, in order, duplicates kept.
+            let (arg_tys, _) = ty.uncurry();
+            let expected: Vec<SuccinctTyId> = arg_tys
+                .iter()
+                .map(|a| recursive_sigma(&mut reference, a))
+                .collect();
+            assert_eq!(args, expected);
+        }
+        assert_eq!(unrolled.ty_count(), reference.ty_count());
+        for i in 0..unrolled.ty_count() as u32 {
+            let id = SuccinctTyId::from_index(i);
+            assert_eq!(unrolled.ty(id), reference.ty(id));
+        }
     }
 }

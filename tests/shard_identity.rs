@@ -8,7 +8,9 @@
 //! bit for weight bit. These tests hold random environments, random shard
 //! counts and the engine-level knobs (`sigma_shards`, `graph_build_threads`)
 //! to that contract, and check that the [`EnvFingerprint`] a preparation
-//! carries never depends on how it was sharded.
+//! carries never depends on how it was sharded. The argument table (σ of
+//! each declaration's uncurried arguments) is part of the contract, and is
+//! also checked against σ itself on every preparation path.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -117,6 +119,42 @@ proptest! {
             env.len(),
             shards
         );
+    }
+
+    #[test]
+    fn argument_table_holds_the_sigma_of_each_uncurried_argument(
+        env in arb_env(),
+        shards in 1usize..12,
+        split in 0usize..8,
+    ) {
+        // Every preparation path — sequential, sharded, and appending the
+        // declarations past `split` to a preparation of the ones before —
+        // records, per declaration, σ of each uncurried argument in order.
+        let weights = WeightConfig::default();
+        let split = split.min(env.len());
+        let prefix: TypeEnv = env.iter().take(split).cloned().collect();
+        let appended = PreparedEnv::prepare_appended(
+            &PreparedEnv::prepare(&prefix, &weights),
+            &env,
+            &weights,
+            split,
+            PreparedEnv::fingerprint_of(&env, &weights),
+        );
+        let preparations = [
+            PreparedEnv::prepare(&env, &weights),
+            PreparedEnv::prepare_sharded(&env, &weights, shards),
+            appended,
+        ];
+        for prepared in &preparations {
+            let mut store = prepared.scratch();
+            for (idx, decl) in env.iter().enumerate() {
+                let (args, _) = decl.ty.uncurry();
+                let expected: Vec<_> = args.iter().map(|a| store.sigma(a)).collect();
+                prop_assert_eq!(prepared.decl_arg_succs(idx), expected.as_slice());
+            }
+            // Each recorded id is a type the preparation itself interned.
+            prop_assert_eq!(store.scratch_ty_count(), 0);
+        }
     }
 
     #[test]
