@@ -117,12 +117,18 @@
 //!    digest, twice through the library path with byte-identical
 //!    counters-only reports, and once through the JSON server path with
 //!    the same digest; no timing involved;
-//! 10. a **top-rung exploration gate** — exploring the 51k-decl
+//! 10. a **deterministic removal gate** — the same seeded trace with a
+//!     removal-heavy update mix (update fraction 0.4, remove fraction 0.8)
+//!     must prepare fresh no more often than it opens a point, i.e. every
+//!     update, removals included, stays on the incremental σ path, and it
+//!     must replay to the digest pinned while removals still prepared
+//!     fresh; no timing involved;
+//! 11. a **top-rung exploration gate** — exploring the 51k-decl
 //!     `env_scaling` rung for the `env_scaling` goal under the default
 //!     limits (500 ms prover time limit) must not be time-truncated and must
 //!     process exactly as many requests as an unlimited run (re-measured
 //!     once on a breach);
-//! 11. a **timing-ratio gate** — re-measures the two `session_amortization`
+//! 12. a **timing-ratio gate** — re-measures the two `session_amortization`
 //!     query workloads and fails if the graph pipeline's speedup over the
 //!     unindexed pipeline shrank more than 25% against the recorded ratio.
 //!     A single noisy measurement window must not fail CI, so a breach is
@@ -194,14 +200,37 @@ const TRACE_GATE_DIGEST: &str = "b2c25e7db777f25c";
 /// The fixed editor trace the `--check` trace-replay gate replays: 400
 /// events over 6 points against the filler-0 figure-1 environment — small
 /// enough to replay three times inside the CI budget, busy enough to cover
-/// opens, pages, deltas with removals (the fresh-prepare fallback), and
-/// closes.
+/// opens, pages, deltas with removals, and closes.
 fn trace_gate_trace() -> Trace {
     generate_trace(&TraceGenConfig {
         seed: TRACE_GATE_SEED,
         points: 6,
         events: TRACE_GATE_EVENTS as u64,
         env: TraceEnvSpec::Figure1 { filler: 0 },
+        ..TraceGenConfig::default()
+    })
+}
+
+/// The pinned digest of the deterministic removal gate: the
+/// [`trace_gate_trace`] recipe with a removal-heavy update mix
+/// ([`removal_gate_trace`]). Pinned while every removal still prepared
+/// fresh, so the gate holds the incremental path to the fresh answers.
+const REMOVAL_GATE_DIGEST: &str = "84ebbf87f8a112cc";
+
+/// The removal-heavy editor trace the `--check` removal gate replays: the
+/// trace-replay gate's points, events and environment, with 40% of events
+/// on open points updates and 80% of those updates removing a declaration
+/// an earlier update added. Every removed declaration has type `String` or
+/// `String -> String`, both interned by the ambient model and kept in Γ by
+/// each point's stable locals, so every removal is inert.
+fn removal_gate_trace() -> Trace {
+    generate_trace(&TraceGenConfig {
+        seed: TRACE_GATE_SEED,
+        points: 6,
+        events: TRACE_GATE_EVENTS as u64,
+        env: TraceEnvSpec::Figure1 { filler: 0 },
+        update_fraction: 0.4,
+        remove_fraction: 0.8,
         ..TraceGenConfig::default()
     })
 }
@@ -896,7 +925,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, cross_point, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check fails when a query_batch over 4 structurally equal points stops reporting exactly 1 prepare + 1 graph build, when the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, when growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), when the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), when sharded preparation (1/2/8 σ shards) stops being byte-identical to sequential, when the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, when (on >= 4 cores) sharded preparation stops being 2x faster than sequential at the 51k rung, when Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, when the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), when exploring the 51k rung under the default limits is time-truncated or processes fewer requests than an unlimited run in two consecutive windows, or when the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
+        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, cross_point, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check fails when a query_batch over 4 structurally equal points stops reporting exactly 1 prepare + 1 graph build, when the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, when growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), when the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), when sharded preparation (1/2/8 σ shards) stops being byte-identical to sequential, when the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, when (on >= 4 cores) sharded preparation stops being 2x faster than sequential at the 51k rung, when Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, when the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), when the removal-heavy variant of that trace prepares fresh more often than it opens a point or drifts from its pinned digest, when exploring the 51k rung under the default limits is time-truncated or processes fewer requests than an unlimited run in two consecutive windows, or when the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
     );
     out.push_str(
         "  \"_measurement\": \"per-iteration nanoseconds; warm-up-calibrated samples of batched iterations, as in vendor/criterion (min/median/mean only)\",\n",
@@ -1401,7 +1430,38 @@ fn run_check(path: &str) -> i32 {
         }
     }
 
-    // Gate 9 — exploration at the top rung: under the default limits,
+    // Gate 9 — removals stay incremental, deterministic: the removal-heavy
+    // trace must prepare fresh only when it opens a point (every update,
+    // removals included, takes the incremental path) and must still digest
+    // to the value pinned while every removal prepared fresh.
+    {
+        let trace = removal_gate_trace();
+        let ambient = trace_environment(trace.env);
+        let report = replay_library(&trace, &ambient, 1);
+        let fresh = report.prepares - report.incremental_prepares;
+        println!(
+            "removal-heavy trace: {} updates ({} removals), {} opens, {} prepares ({} fresh), \
+             digest {} (gate requires fresh <= opens and digest {REMOVAL_GATE_DIGEST})",
+            report.summary.updates,
+            report.summary.removals,
+            report.summary.opens,
+            report.prepares,
+            fresh,
+            report.digest_hex(),
+        );
+        if fresh > report.summary.opens
+            || report.digest_hex() != REMOVAL_GATE_DIGEST
+            || report.errors != 0
+        {
+            println!(
+                "PERF REGRESSION: the removal-heavy trace left the incremental path (more fresh \
+                 prepares than opens) or its answers drifted from the pinned digest"
+            );
+            return 1;
+        }
+    }
+
+    // Gate 10 — exploration at the top rung: under the default limits,
     // exploring the 51k-decl rung for the env_scaling goal must finish
     // inside the prover time limit and process exactly as many requests as
     // an unlimited run. While MATCH scanned all of Γ per request, the time
@@ -1457,7 +1517,7 @@ fn run_check(path: &str) -> i32 {
         }
     }
 
-    // Gate 10 — query-time ratio, re-measured once on a breach.
+    // Gate 11 — query-time ratio, re-measured once on a breach.
     let (query_median, unindexed_median, first_ratio) = measure_query_ratio(&env, &goal);
     println!(
         "graph query median {query_median} ns, unindexed reference median {unindexed_median} ns: \

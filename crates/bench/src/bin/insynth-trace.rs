@@ -232,8 +232,8 @@ fn print_human(report: &ReplayReport) {
         s.opens, s.queries, s.pages, s.updates, s.removals, s.closes
     );
     println!(
-        "engine     {} prepares, {} graph builds",
-        report.prepares, report.graph_builds
+        "engine     {} prepares ({} incremental), {} graph builds",
+        report.prepares, report.incremental_prepares, report.graph_builds
     );
     println!(
         "results    {} completions, {} values, {} resumed, {} errors",

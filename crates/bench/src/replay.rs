@@ -31,7 +31,9 @@
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use insynth_core::{Engine, EnvDelta, Query, Session, SynthesisConfig, TypeEnv};
+use insynth_core::{
+    Engine, EngineStatsSnapshot, EnvDelta, Query, Session, SynthesisConfig, TypeEnv,
+};
 use insynth_corpus::trace::{Trace, TraceEnvSpec, TraceEvent, TraceEventKind, TraceSummary};
 use insynth_server::{
     decl_to_json, env_to_json, ty_to_json, Json, Server, ServerConfig, MAX_PAGE_VALUES,
@@ -97,6 +99,10 @@ pub struct ReplayReport {
     pub errors: u64,
     /// σ-lowering runs the engine performed ([`Engine::stats`]).
     pub prepares: usize,
+    /// The part of `prepares` that took the incremental delta path; the
+    /// rest prepared fresh. Reported by the human summary only, so the JSON
+    /// report keeps its shape.
+    pub incremental_prepares: usize,
     /// Derivation-graph builds the engine performed.
     pub graph_builds: usize,
     /// Order-insensitive result digest (see module docs).
@@ -336,15 +342,13 @@ pub fn replay_library(trace: &Trace, ambient: &TypeEnv, workers: usize) -> Repla
         run_library_worker(ambient, &engine, events)
     });
     let elapsed = started.elapsed();
-    let stats = engine.stats();
     report(
         ReplayMode::Library,
         workers,
         ambient.len(),
         trace,
         outcome,
-        stats.prepare_count,
-        stats.graph_build_count,
+        engine.stats(),
         elapsed,
     )
 }
@@ -373,15 +377,13 @@ where
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 fn report(
     mode: ReplayMode,
     workers: usize,
     env_decls: usize,
     trace: &Trace,
     outcome: WorkerOutcome,
-    prepares: usize,
-    graph_builds: usize,
+    stats: EngineStatsSnapshot,
     elapsed: Duration,
 ) -> ReplayReport {
     ReplayReport {
@@ -393,8 +395,9 @@ fn report(
         values: outcome.values,
         resumed: outcome.resumed,
         errors: outcome.errors,
-        prepares,
-        graph_builds,
+        prepares: stats.prepare_count,
+        incremental_prepares: stats.incremental_prepare_count,
+        graph_builds: stats.graph_build_count,
         digest: outcome.digest,
         elapsed,
         latency: outcome.latency,
@@ -630,15 +633,13 @@ pub fn replay_server(trace: &Trace, ambient: &TypeEnv, workers: usize) -> Replay
         run_server_worker(ambient, &server, events)
     });
     let elapsed = started.elapsed();
-    let stats = server.engine().stats();
     report(
         ReplayMode::Server,
         workers,
         ambient.len(),
         trace,
         outcome,
-        stats.prepare_count,
-        stats.graph_build_count,
+        server.engine().stats(),
         elapsed,
     )
 }
@@ -722,6 +723,7 @@ mod tests {
         assert_eq!(lib.values, srv.values);
         assert_eq!(lib.completions, srv.completions);
         assert_eq!(lib.prepares, srv.prepares);
+        assert_eq!(lib.incremental_prepares, srv.incremental_prepares);
         assert_eq!(lib.graph_builds, srv.graph_builds);
 
         // Re-running is counter- and digest-identical (workers = 1).

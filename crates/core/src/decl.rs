@@ -1,6 +1,7 @@
 //! Declarations and type environments (the Γo of the paper).
 
 use std::fmt;
+use std::sync::Arc;
 
 use insynth_lambda::Ty;
 
@@ -113,7 +114,19 @@ impl fmt::Display for Declaration {
     }
 }
 
+/// The iterator [`TypeEnv::iter`] returns: the shared declarations, borrowed
+/// through their `Arc`s.
+pub type DeclIter<'a> =
+    std::iter::Map<std::slice::Iter<'a, Arc<Declaration>>, fn(&Arc<Declaration>) -> &Declaration>;
+
 /// The original type environment Γo: an ordered collection of declarations.
+///
+/// Declarations are held behind [`Arc`]s, so cloning an environment copies
+/// pointers, not names and types: an edited environment (see
+/// [`EnvDelta::apply`](crate::EnvDelta::apply)) shares every declaration the
+/// edit leaves alone with the environment it was derived from.
+/// [`TypeEnv::iter_mut`] copies each declaration another environment still
+/// shares before handing it out, so a mutation never shows through a clone.
 ///
 /// # Example
 ///
@@ -128,7 +141,7 @@ impl fmt::Display for Declaration {
 /// ```
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TypeEnv {
-    decls: Vec<Declaration>,
+    decls: Vec<Arc<Declaration>>,
 }
 
 impl TypeEnv {
@@ -139,7 +152,7 @@ impl TypeEnv {
 
     /// Adds a declaration.
     pub fn push(&mut self, decl: Declaration) {
-        self.decls.push(decl);
+        self.decls.push(Arc::new(decl));
     }
 
     /// Number of declarations.
@@ -153,30 +166,32 @@ impl TypeEnv {
     }
 
     /// All declarations, in insertion order.
-    pub fn decls(&self) -> &[Declaration] {
+    pub fn decls(&self) -> &[Arc<Declaration>] {
         &self.decls
     }
 
     /// Iterates over the declarations.
-    pub fn iter(&self) -> std::slice::Iter<'_, Declaration> {
-        self.decls.iter()
+    pub fn iter(&self) -> DeclIter<'_> {
+        self.decls.iter().map(|d| &**d)
     }
 
     /// Iterates mutably over the declarations (e.g. to attach corpus
-    /// frequencies after extraction).
+    /// frequencies after extraction). Each declaration another environment
+    /// still shares is copied as the iterator reaches it, so mutations stay
+    /// local to `self`.
     pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Declaration> {
-        self.decls.iter_mut()
+        self.decls.iter_mut().map(Arc::make_mut)
     }
 
     /// Finds the first declaration with the given name.
     pub fn find(&self, name: &str) -> Option<&Declaration> {
-        self.decls.iter().find(|d| d.name == name)
+        self.iter().find(|d| d.name == name)
     }
 
     /// The `Select` function of Figure 4: all declarations whose type maps to
     /// the given simple type exactly (used by the reference reconstruction).
     pub fn select_by_ty(&self, ty: &Ty) -> Vec<&Declaration> {
-        self.decls.iter().filter(|d| &d.ty == ty).collect()
+        self.iter().filter(|d| &d.ty == ty).collect()
     }
 
     /// Converts the environment into lambda-calculus [`insynth_lambda::Bindings`]
@@ -283,6 +298,13 @@ impl TypeEnv {
 
 impl FromIterator<Declaration> for TypeEnv {
     fn from_iter<I: IntoIterator<Item = Declaration>>(iter: I) -> Self {
+        iter.into_iter().map(Arc::new).collect()
+    }
+}
+
+/// Collects already-shared declarations without copying them.
+impl FromIterator<Arc<Declaration>> for TypeEnv {
+    fn from_iter<I: IntoIterator<Item = Arc<Declaration>>>(iter: I) -> Self {
         TypeEnv {
             decls: iter.into_iter().collect(),
         }
@@ -291,7 +313,7 @@ impl FromIterator<Declaration> for TypeEnv {
 
 impl Extend<Declaration> for TypeEnv {
     fn extend<I: IntoIterator<Item = Declaration>>(&mut self, iter: I) {
-        self.decls.extend(iter);
+        self.decls.extend(iter.into_iter().map(Arc::new));
     }
 }
 
@@ -355,6 +377,40 @@ mod tests {
         .into_iter()
         .collect();
         assert_eq!(env.len(), 2);
+    }
+
+    #[test]
+    fn clones_share_declarations_and_writes_copy_on_write() {
+        let mut original = TypeEnv::new();
+        original.push(Declaration::new("a", Ty::base("A"), DeclKind::Local));
+        original.push(Declaration::new("b", Ty::base("B"), DeclKind::Local));
+        let untouched = |env: &TypeEnv| {
+            env.iter()
+                .all(|d| d.frequency.is_none() && d.weight_override.is_none())
+        };
+
+        let mut written = original.clone();
+        assert!(Arc::ptr_eq(&written.decls()[0], &original.decls()[0]));
+        for decl in written.iter_mut() {
+            decl.frequency = Some(3);
+        }
+        assert!(written.iter().all(|d| d.frequency == Some(3)));
+        assert!(
+            untouched(&original),
+            "iter_mut wrote through a shared declaration"
+        );
+        assert!(!Arc::ptr_eq(&written.decls()[0], &original.decls()[0]));
+
+        // A reweighting delta copies only the declaration it changes; the
+        // other one stays shared with the environment it came from.
+        let edited = crate::EnvDelta::new().reweight("a", 2.5).apply(&original);
+        assert_eq!(edited.decls()[0].weight_override, Some(2.5));
+        assert!(
+            untouched(&original),
+            "apply wrote through a shared declaration"
+        );
+        assert!(!Arc::ptr_eq(&edited.decls()[0], &original.decls()[0]));
+        assert!(Arc::ptr_eq(&edited.decls()[1], &original.decls()[1]));
     }
 
     #[test]

@@ -47,9 +47,13 @@
 //! `(fingerprint, goal, prover budgets)` so equal points share graphs too.
 //! [`Session::update`] applies an [`EnvDelta`] (add / remove / reweight
 //! declarations) and re-prepares incrementally, re-running σ only on the
-//! changed declarations and carrying over every cached graph the edit
-//! provably cannot affect — byte-identical to a fresh preparation of the
-//! edited environment. [`Engine::query_batch`] runs requests against several
+//! appended declarations — removals of declarations whose types the rest of
+//! the environment already interns included — and carrying over every
+//! cached graph an append or reweight provably cannot affect —
+//! byte-identical to a fresh preparation of the edited environment. An
+//! edited [`TypeEnv`] shares every untouched declaration with the one it
+//! came from, so the edit costs what the delta costs.
+//! [`Engine::query_batch`] runs requests against several
 //! program points at once, preparing each distinct point once and fanning
 //! queries out across a thread pool. [`rcn`] is the unoptimized reference
 //! implementation of Figure 4 used as a test oracle; the [`SubtypeLattice`]
@@ -96,7 +100,7 @@ mod weights;
 pub use coerce::{
     coercion_name, count_coercions, erase_coercions, is_coercion, SubtypeLattice, COERCION_PREFIX,
 };
-pub use decl::{DeclKind, Declaration, TypeEnv};
+pub use decl::{DeclIter, DeclKind, Declaration, TypeEnv};
 pub use explore::{explore, ExploreLimits, SearchSpace};
 pub use genp::{generate_patterns, generate_patterns_naive, PatternSet};
 pub use gent::{

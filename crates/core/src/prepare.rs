@@ -26,12 +26,29 @@
 //! and stored on the prepared result. The engine keys its cross-point caches
 //! on that fingerprint, so two structurally equal program points (even with
 //! declarations collected in different orders) share one preparation.
-//! [`PreparedEnv::prepare_appended`] is the incremental path for edit-time
-//! deltas: when an environment only gained appended declarations and/or
-//! changed weights, σ runs on the appended suffix alone and everything else
-//! is carried over — bit-identical to a fresh [`PreparedEnv::prepare`] of the
-//! edited environment (the interning sequence of the shared prefix is
-//! unchanged, so every id comes out the same).
+//!
+//! # Incremental preparation
+//!
+//! [`PreparedEnv::prepare_incremental`] is the one incremental path for
+//! edit-time deltas: the edited environment keeps some base declarations in
+//! order, may have changed their weights, and appends new ones. σ runs on
+//! the appended suffix alone; the kept declarations' tables and the interned
+//! store are carried over — bit-identical to a fresh [`PreparedEnv::prepare`]
+//! of the edited environment, because the interning sequence of the kept
+//! declarations is unchanged, so every id comes out the same. An edit that
+//! removes nothing keeps the whole base as a prefix.
+//!
+//! A removal keeps that promise only when it is *inert*
+//! ([`PreparedEnv::removal_is_inert`]). Every preparation records, per
+//! declaration, whether lowering it interned a type no earlier declaration
+//! had ([`PreparedEnv::interned_new_type`]); it records this by comparing
+//! the store's type count before and after, on the sequential, sharded and
+//! incremental paths alike. A declaration that interned nothing new, and
+//! whose σ image keeps another declaration in `Select`, can be dropped
+//! without changing the interning sequence of any other declaration or Γ's
+//! member set. Editors mostly remove locals of types the environment
+//! already has, so most removals stay incremental; removing a declaration
+//! that introduced a type needs a fresh preparation.
 //!
 //! # Scaling the environment axis
 //!
@@ -46,7 +63,7 @@
 //! in σ's own first-encounter post-order, the replay re-creates exactly the
 //! ids a sequential [`PreparedEnv::prepare`] would — the result is
 //! **byte-identical** for every shard count (the same bit-compatibility
-//! contract [`PreparedEnv::prepare_appended`] meets, property-tested in
+//! contract [`PreparedEnv::prepare_incremental`] meets, property-tested in
 //! `tests/shard_identity.rs`).
 //!
 //! When does it pay off? The merge costs one `mk_ty` per *chunk-distinct*
@@ -58,6 +75,8 @@
 //! (`1` pins today's sequential path).
 //!
 //! [`SynthesisConfig::sigma_shards`]: crate::SynthesisConfig::sigma_shards
+
+use std::sync::Arc;
 
 use insynth_intern::{IdHashMap, StableHasher, Symbol};
 use insynth_succinct::{
@@ -97,7 +116,7 @@ struct ShardLowering {
     watermarks: Vec<u32>,
 }
 
-fn lower_chunk(decls: &[Declaration]) -> ShardLowering {
+fn lower_chunk(decls: &[Arc<Declaration>]) -> ShardLowering {
     let mut store = SuccinctStore::new();
     let mut decl_local = Vec::with_capacity(decls.len());
     let mut args_local = DeclArgs::with_capacity(decls.len());
@@ -153,6 +172,49 @@ impl DeclArgs {
     }
 }
 
+/// The per-declaration tables every preparation path fills, in declaration
+/// order, before [`PreparedEnv::finish_prepare`] derives the rest.
+struct Lowered {
+    decl_succ: Vec<SuccinctTyId>,
+    decl_args: DeclArgs,
+    /// Whether lowering each declaration interned a type no earlier
+    /// declaration had (see [`PreparedEnv::interned_new_type`]).
+    interned_new: Vec<bool>,
+}
+
+impl Lowered {
+    fn with_capacity(decls: usize) -> Self {
+        Lowered {
+            decl_succ: Vec::with_capacity(decls),
+            decl_args: DeclArgs::with_capacity(decls),
+            interned_new: Vec::with_capacity(decls),
+        }
+    }
+
+    /// σ-lowers the next declaration's type into `store`.
+    fn lower(&mut self, store: &mut SuccinctStore, ty: &Ty) {
+        let before = store.ty_count();
+        let succ = self.decl_args.lower(store, ty);
+        self.push_row(succ, store.ty_count() > before);
+    }
+
+    /// Records the next declaration from tables computed elsewhere.
+    fn push(
+        &mut self,
+        succ: SuccinctTyId,
+        args: impl IntoIterator<Item = SuccinctTyId>,
+        interned_new: bool,
+    ) {
+        self.decl_args.push(args);
+        self.push_row(succ, interned_new);
+    }
+
+    fn push_row(&mut self, succ: SuccinctTyId, interned_new: bool) {
+        self.decl_succ.push(succ);
+        self.interned_new.push(interned_new);
+    }
+}
+
 /// A type environment lowered into succinct form, with the lookup structures
 /// the synthesis phases need.
 #[derive(Debug)]
@@ -164,6 +226,9 @@ pub struct PreparedEnv {
     pub decl_succ: Vec<SuccinctTyId>,
     /// The argument table, read through [`PreparedEnv::decl_arg_succs`].
     decl_args: DeclArgs,
+    /// Per declaration, whether lowering it interned a new type, read
+    /// through [`PreparedEnv::interned_new_type`].
+    interned_new: Vec<bool>,
     /// For each declaration, its weight under the active [`WeightConfig`].
     pub decl_weight: Vec<Weight>,
     /// The `Select` index: succinct type → indices of declarations whose type
@@ -260,23 +325,11 @@ impl PreparedEnv {
         fingerprint: EnvFingerprint,
     ) -> Self {
         let mut store = SuccinctStore::new();
-        let mut decl_succ = Vec::with_capacity(env.len());
-        let mut decl_args = DeclArgs::with_capacity(env.len());
-        let mut by_succ: IdHashMap<SuccinctTyId, Vec<usize>> = IdHashMap::default();
-        for (idx, decl) in env.iter().enumerate() {
-            let succ = decl_args.lower(&mut store, &decl.ty);
-            decl_succ.push(succ);
-            by_succ.entry(succ).or_default().push(idx);
+        let mut lowered = Lowered::with_capacity(env.len());
+        for decl in env.iter() {
+            lowered.lower(&mut store, &decl.ty);
         }
-        Self::finish_prepare(
-            store,
-            decl_succ,
-            decl_args,
-            by_succ,
-            env,
-            weights,
-            fingerprint,
-        )
+        Self::finish_prepare(store, lowered, env, weights, fingerprint)
     }
 
     /// [`PreparedEnv::prepare`] with σ-lowering sharded across `shards`
@@ -334,9 +387,7 @@ impl PreparedEnv {
         // types are interned while lowering it, so they lie below its
         // watermark.
         let mut store = SuccinctStore::new();
-        let mut decl_succ = Vec::with_capacity(env.len());
-        let mut decl_args = DeclArgs::with_capacity(env.len());
-        let mut by_succ: IdHashMap<SuccinctTyId, Vec<usize>> = IdHashMap::default();
+        let mut merged = Lowered::with_capacity(env.len());
         let mut resolved: Vec<Vec<SuccinctTyId>> = lowered
             .iter()
             .map(|s| Vec::with_capacity(s.store.ty_count()))
@@ -346,6 +397,7 @@ impl PreparedEnv {
             let shard = &lowered[shard_idx];
             let memo = &mut resolved[shard_idx];
             let hi = shard.watermarks[off] as usize;
+            let before = store.ty_count();
             while memo.len() < hi {
                 let data = shard.store.ty(SuccinctTyId::from_index(memo.len() as u32));
                 let args: Vec<SuccinctTyId> =
@@ -354,88 +406,113 @@ impl PreparedEnv {
                 let canonical = store.mk_ty(args, ret);
                 memo.push(canonical);
             }
-            let succ = memo[shard.decl_local[off].as_usize()];
-            decl_succ.push(succ);
-            decl_args.push(shard.args_local.of(off).iter().map(|a| memo[a.as_usize()]));
-            by_succ.entry(succ).or_default().push(idx);
+            merged.push(
+                memo[shard.decl_local[off].as_usize()],
+                shard.args_local.of(off).iter().map(|a| memo[a.as_usize()]),
+                store.ty_count() > before,
+            );
         }
-        Self::finish_prepare(
-            store,
-            decl_succ,
-            decl_args,
-            by_succ,
-            env,
-            weights,
-            fingerprint,
-        )
+        Self::finish_prepare(store, merged, env, weights, fingerprint)
     }
 
-    /// Incrementally re-prepares for `env`, which must extend the environment
-    /// `base` was prepared from by **appended declarations and/or in-place
-    /// weight changes**: the first `prefix_len` declarations of `env` have
-    /// the same names and types (in the same order) as the base environment.
+    /// Incrementally re-prepares for `env`, an edit of the environment `base`
+    /// was prepared from: the base declarations at the ascending indices
+    /// `kept`, in that order and with the same names and types (weights may
+    /// have changed), followed by appended declarations. Every base
+    /// declaration not in `kept` must be removable without disturbing the
+    /// rest — [`PreparedEnv::removal_is_inert`] must hold.
     ///
-    /// Only the appended suffix is σ-lowered; the interned store is carried
-    /// over. Because a fresh [`PreparedEnv::prepare`] of `env` would replay
-    /// the exact interning sequence of the shared prefix before reaching the
-    /// suffix, every *type* id, declaration index and weight comes out
-    /// identical to that fresh preparation. The only divergence is inert:
-    /// when the appended declarations extend the initial environment's
-    /// member set, the carried store still holds the old initial environment
-    /// under its old id (a fresh store never interns it), shifting later
-    /// environment *ids* by one — and no query-observable behavior depends
-    /// on environment id values (nothing orders by them, and the old set is
-    /// a strict subset no lookup in the new world can produce). Query
-    /// results are therefore byte-identical to the fresh preparation, which
-    /// is what the session's delta path promises.
-    pub fn prepare_appended(
+    /// Only the appended suffix is σ-lowered; the kept declarations' σ
+    /// images, argument-table rows and flags are copied, and the interned
+    /// store is carried over. A dropped declaration interned nothing, so a
+    /// fresh [`PreparedEnv::prepare`] of `env` would replay exactly the
+    /// carried interning sequence before reaching the suffix: every *type*
+    /// id, declaration index and weight comes out identical to that fresh
+    /// preparation. The only divergence is inert: when the appended
+    /// declarations extend the initial environment's member set, the
+    /// carried store still holds the old initial environment under its old
+    /// id (a fresh store never interns it), shifting later environment
+    /// *ids* by one — and no query-observable behavior depends on
+    /// environment id values (nothing orders by them, and the old set is a
+    /// strict subset no lookup in the new world can produce). Query results
+    /// are therefore byte-identical to the fresh preparation, which is what
+    /// the session's delta path promises; when the member set is unchanged,
+    /// the preparation is [`identical_to`](PreparedEnv::identical_to) it.
+    pub fn prepare_incremental(
         base: &PreparedEnv,
+        kept: &[usize],
         env: &TypeEnv,
         weights: &WeightConfig,
-        prefix_len: usize,
         fingerprint: EnvFingerprint,
     ) -> Self {
-        debug_assert!(prefix_len <= env.len());
-        debug_assert_eq!(prefix_len, base.decl_succ.len());
+        debug_assert!(kept.len() <= env.len());
+        debug_assert!(base.removal_is_inert(kept));
         let mut store = base.store.clone();
-        let mut decl_succ = base.decl_succ.clone();
-        let mut decl_args = base.decl_args.clone();
-        let mut by_succ = base.by_succ.clone();
-        for (idx, decl) in env.iter().enumerate().skip(prefix_len) {
-            let succ = decl_args.lower(&mut store, &decl.ty);
-            decl_succ.push(succ);
-            by_succ.entry(succ).or_default().push(idx);
+        let mut lowered = Lowered::with_capacity(env.len());
+        for &idx in kept {
+            lowered.push(
+                base.decl_succ[idx],
+                base.decl_args.of(idx).iter().copied(),
+                base.interned_new[idx],
+            );
         }
-        Self::finish_prepare(
-            store,
-            decl_succ,
-            decl_args,
-            by_succ,
-            env,
-            weights,
-            fingerprint,
-        )
+        for decl in env.iter().skip(kept.len()) {
+            lowered.lower(&mut store, &decl.ty);
+        }
+        Self::finish_prepare(store, lowered, env, weights, fingerprint)
     }
 
-    /// Shared tail of fresh and incremental preparation: the weight tables
-    /// (cheap, no σ), the initial environment and the fingerprint.
+    /// `true` when dropping every base declaration whose index is not in
+    /// `kept` (ascending) leaves the preparation of the rest undisturbed:
+    /// no dropped declaration interned a type first (so the interning
+    /// sequence of every other declaration is unchanged), and every dropped
+    /// declaration's σ image keeps a kept declaration in `Select` (so Γ's
+    /// member set is unchanged). [`PreparedEnv::prepare_incremental`]
+    /// requires it; any other removal needs a fresh preparation.
+    pub fn removal_is_inert(&self, kept: &[usize]) -> bool {
+        let mut dropped: IdHashMap<SuccinctTyId, usize> = IdHashMap::default();
+        let mut kept = kept.iter().copied().peekable();
+        for idx in 0..self.decl_succ.len() {
+            if kept.next_if_eq(&idx).is_some() {
+                continue;
+            }
+            if self.interned_new[idx] {
+                return false;
+            }
+            *dropped.entry(self.decl_succ[idx]).or_default() += 1;
+        }
+        dropped
+            .into_iter()
+            .all(|(succ, count)| count < self.select(succ).len())
+    }
+
+    /// Shared tail of fresh and incremental preparation: the `Select` index
+    /// and the weight tables (cheap, no σ), the initial environment and the
+    /// fingerprint.
     fn finish_prepare(
         mut store: SuccinctStore,
-        decl_succ: Vec<SuccinctTyId>,
-        decl_args: DeclArgs,
-        by_succ: IdHashMap<SuccinctTyId, Vec<usize>>,
+        lowered: Lowered,
         env: &TypeEnv,
         weights: &WeightConfig,
         fingerprint: EnvFingerprint,
     ) -> Self {
         debug_assert_eq!(fingerprint, Self::fingerprint_of(env, weights));
+        let Lowered {
+            decl_succ,
+            decl_args,
+            interned_new,
+        } = lowered;
+        debug_assert_eq!(decl_succ.len(), env.len());
         let mut decl_weight = Vec::with_capacity(env.len());
+        let mut by_succ: IdHashMap<SuccinctTyId, Vec<usize>> = IdHashMap::default();
         let mut ty_weight: IdHashMap<SuccinctTyId, Weight> = IdHashMap::default();
         for (idx, decl) in env.iter().enumerate() {
+            let succ = decl_succ[idx];
             let w = weights.declaration_weight(decl);
             decl_weight.push(w);
+            by_succ.entry(succ).or_default().push(idx);
             ty_weight
-                .entry(decl_succ[idx])
+                .entry(succ)
                 .and_modify(|cur| {
                     if w < *cur {
                         *cur = w;
@@ -448,6 +525,7 @@ impl PreparedEnv {
             store,
             decl_succ,
             decl_args,
+            interned_new,
             decl_weight,
             by_succ,
             ty_weight,
@@ -482,6 +560,14 @@ impl PreparedEnv {
         self.decl_args.of(decl)
     }
 
+    /// `true` when lowering declaration `decl` interned a type no earlier
+    /// declaration had. Removing a declaration for which this is `false`
+    /// leaves the interning sequence of every other declaration unchanged
+    /// (see [`PreparedEnv::removal_is_inert`]).
+    pub fn interned_new_type(&self, decl: usize) -> bool {
+        self.interned_new[decl]
+    }
+
     /// The declarations whose σ image is exactly `succ` (the `Select` function
     /// restricted to the original environment).
     pub fn select(&self, succ: SuccinctTyId) -> &[usize] {
@@ -505,18 +591,20 @@ impl PreparedEnv {
     }
 
     /// Full byte-level identity against another preparation: the fingerprint,
-    /// every index (`decl_succ`, the argument table, `decl_weight`,
-    /// `by_succ`, `ty_weight`, `init_env`) and every store table (symbol
-    /// names, type records, the interned initial environment) must match, id
-    /// for id. This is the
-    /// contract [`PreparedEnv::prepare_sharded`] documents; the
-    /// `baseline --check` shard-invariance gate and the property tests hold
-    /// arbitrary shard counts to it.
+    /// every index (`decl_succ`, the argument table, the new-type flags,
+    /// `decl_weight`, `by_succ`, `ty_weight`, `init_env`) and every store
+    /// table (symbol names, type records, the interned initial environment)
+    /// must match, id for id. This is the contract [`PreparedEnv::prepare_sharded`]
+    /// documents; the `baseline --check` shard-invariance gate and the
+    /// property tests hold arbitrary shard counts to it, and the delta
+    /// property test holds [`PreparedEnv::prepare_incremental`] to it
+    /// whenever the edit keeps Γ's member set.
     pub fn identical_to(&self, other: &PreparedEnv) -> bool {
         if self.fingerprint != other.fingerprint
             || self.init_env != other.init_env
             || self.decl_succ != other.decl_succ
             || self.decl_args != other.decl_args
+            || self.interned_new != other.interned_new
             || self.decl_weight != other.decl_weight
             || self.by_succ != other.by_succ
             || self.ty_weight != other.ty_weight
@@ -615,7 +703,7 @@ mod tests {
         assert_ne!(fp, PreparedEnv::fingerprint_of(&grown, &weights));
 
         let mut duplicated = base.clone();
-        duplicated.push(base.decls()[0].clone());
+        duplicated.push((*base.decls()[0]).clone());
         assert_ne!(fp, PreparedEnv::fingerprint_of(&duplicated, &weights));
 
         let reweighted: TypeEnv = base
@@ -665,11 +753,12 @@ mod tests {
             DeclKind::Imported,
         ));
 
-        let incremental = PreparedEnv::prepare_appended(
+        let whole_base: Vec<usize> = (0..old_env.len()).collect();
+        let incremental = PreparedEnv::prepare_incremental(
             &base,
+            &whole_base,
             &new_env,
             &weights,
-            old_env.len(),
             PreparedEnv::fingerprint_of(&new_env, &weights),
         );
         let fresh = PreparedEnv::prepare(&new_env, &weights);
@@ -698,11 +787,11 @@ mod tests {
         // path checks.
         let mut dup_env = old_env.clone();
         dup_env.push(Declaration::new("a2", Ty::base("Int"), DeclKind::Package));
-        let dup = PreparedEnv::prepare_appended(
+        let dup = PreparedEnv::prepare_incremental(
             &base,
+            &whole_base,
             &dup_env,
             &weights,
-            old_env.len(),
             PreparedEnv::fingerprint_of(&dup_env, &weights),
         );
         assert_eq!(dup.init_env, base.init_env);
@@ -713,6 +802,7 @@ mod tests {
     fn assert_prepare_identical(a: &PreparedEnv, b: &PreparedEnv) {
         assert_eq!(a.decl_succ, b.decl_succ);
         assert_eq!(a.decl_args, b.decl_args);
+        assert_eq!(a.interned_new, b.interned_new);
         assert_eq!(a.decl_weight, b.decl_weight);
         assert_eq!(a.by_succ, b.by_succ);
         assert_eq!(a.ty_weight, b.ty_weight);

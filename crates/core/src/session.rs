@@ -31,10 +31,11 @@
 //! * [`Session::update`] — the edit-time delta path: apply an [`EnvDelta`]
 //!   (add / remove / reweight declarations) and get a session for the edited
 //!   point whose results are byte-identical to a fresh [`Engine::prepare`]
-//!   of the edited environment. Appends and reweights re-run σ only on the
-//!   changed declarations and carry over every cached graph the change
-//!   provably cannot affect; removals and oversized deltas fall back to a
-//!   fresh preparation.
+//!   of the edited environment. Appends, reweights and removals of
+//!   declarations whose types the rest of the environment already interns
+//!   re-run σ only on the appended declarations; appends and reweights also
+//!   carry over every cached graph the change provably cannot affect. Other
+//!   removals and oversized deltas fall back to a fresh preparation.
 //! * [`Engine::query_batch`] — many `(environment, query)` requests at once:
 //!   requests are grouped by fingerprint (structural equality verified),
 //!   each distinct point is prepared once, and the queries fan out across a
@@ -125,6 +126,9 @@ pub struct EngineStatsSnapshot {
     /// σ-lowering runs performed (full preparations plus incremental delta
     /// re-preparations).
     pub prepare_count: usize,
+    /// The part of `prepare_count` that took the incremental delta path
+    /// ([`PreparedEnv::prepare_incremental`]); the rest prepared fresh.
+    pub incremental_prepare_count: usize,
     /// σ-lowering runs that took the sharded parallel path (more than one
     /// shard after the [`effective_sigma_shards`] policy; small environments
     /// and incremental delta re-preparations stay sequential).
@@ -220,7 +224,7 @@ impl Engine {
         // prepare_time covers only the σ-lowering and index construction —
         // the quantity queries amortize — not the bookkeeping copies below.
         let prepare_time = started.elapsed();
-        self.cache.record_prepare(shards, prepare_time);
+        self.cache.record_prepare(shards, false, prepare_time);
         let point = Arc::new(PreparedPoint {
             env: env.clone(),
             prepared,
@@ -323,6 +327,7 @@ impl Engine {
     pub fn stats(&self) -> EngineStatsSnapshot {
         EngineStatsSnapshot {
             prepare_count: self.prepare_count(),
+            incremental_prepare_count: self.cache.incremental_prepares.load(Ordering::Relaxed),
             sharded_prepare_count: self.cache.sharded_prepares.load(Ordering::Relaxed),
             prepare_time_ns: self.cache.prepare_time_ns.load(Ordering::Relaxed),
             sharded_prepare_time_ns: self.cache.sharded_prepare_time_ns.load(Ordering::Relaxed),
@@ -563,18 +568,39 @@ impl EnvDelta {
     }
 
     /// The edited environment: removals, then reweights, then additions.
+    ///
+    /// The result shares every declaration the delta does not reweight with
+    /// `env` (see [`TypeEnv`]); a reweight copies only the declarations it
+    /// changes.
     pub fn apply(&self, env: &TypeEnv) -> TypeEnv {
-        let mut decls: Vec<Declaration> = env
+        self.apply_kept(env, &self.kept(env))
+    }
+
+    /// The ascending indices of the declarations of `env` this delta keeps
+    /// (every declaration whose name it does not remove). [`EnvDelta::apply`]
+    /// and [`Session::update`] both derive the removal from it, so the
+    /// edited list and the incremental preparation agree on which
+    /// declarations went.
+    fn kept(&self, env: &TypeEnv) -> Vec<usize> {
+        env.iter()
+            .enumerate()
+            .filter(|(_, d)| !self.removes.iter().any(|r| r == &d.name))
+            .map(|(idx, _)| idx)
+            .collect()
+    }
+
+    /// [`EnvDelta::apply`] with the kept indices already computed.
+    fn apply_kept(&self, env: &TypeEnv, kept: &[usize]) -> TypeEnv {
+        let mut decls: Vec<Arc<Declaration>> = kept
             .iter()
-            .filter(|d| !self.removes.iter().any(|r| r == &d.name))
-            .cloned()
+            .map(|&idx| Arc::clone(&env.decls()[idx]))
             .collect();
         for (name, weight) in &self.reweights {
             for decl in decls.iter_mut().filter(|d| &d.name == name) {
-                decl.weight_override = Some(*weight);
+                Arc::make_mut(decl).weight_override = Some(*weight);
             }
         }
-        decls.extend(self.adds.iter().cloned());
+        decls.extend(self.adds.iter().cloned().map(Arc::new));
         decls.into_iter().collect()
     }
 }
@@ -996,6 +1022,8 @@ pub(crate) struct ArtifactCache {
     clock: AtomicU64,
     /// σ-lowering runs (full and incremental preparations).
     prepares: AtomicUsize,
+    /// The incremental part of `prepares`.
+    incremental_prepares: AtomicUsize,
     /// σ-lowering runs that took the sharded parallel path (> 1 shard).
     sharded_prepares: AtomicUsize,
     /// Cumulative wall time of all σ-lowering runs, in nanoseconds.
@@ -1016,6 +1044,7 @@ impl ArtifactCache {
             analyses: RwLock::new(HashMap::new()),
             clock: AtomicU64::new(0),
             prepares: AtomicUsize::new(0),
+            incremental_prepares: AtomicUsize::new(0),
             sharded_prepares: AtomicUsize::new(0),
             prepare_time_ns: AtomicU64::new(0),
             sharded_prepare_time_ns: AtomicU64::new(0),
@@ -1025,11 +1054,14 @@ impl ArtifactCache {
     }
 
     /// Accounts one σ-lowering run: the work counter, its wall time, and —
-    /// when it fanned out over more than one shard — the sharded-path
-    /// counters the stats snapshot reports.
-    fn record_prepare(&self, shards: usize, elapsed: Duration) {
+    /// when it was incremental, or fanned out over more than one shard — the
+    /// path counters the stats snapshot reports.
+    fn record_prepare(&self, shards: usize, incremental: bool, elapsed: Duration) {
         let ns = elapsed.as_nanos() as u64;
         self.prepares.fetch_add(1, Ordering::Relaxed);
+        if incremental {
+            self.incremental_prepares.fetch_add(1, Ordering::Relaxed);
+        }
         self.prepare_time_ns.fetch_add(ns, Ordering::Relaxed);
         if shards > 1 {
             self.sharded_prepares.fetch_add(1, Ordering::Relaxed);
@@ -1496,15 +1528,22 @@ impl Session {
     /// [`Engine::prepare`] of the edited environment. What varies is the
     /// work performed:
     ///
-    /// * additions and reweights re-run σ only on the changed declarations
-    ///   ([`PreparedEnv::prepare_appended`]) and **carry over** every cached
-    ///   derivation graph whose exploration provably cannot observe the
-    ///   change (no changed declaration's return type was ever requested,
-    ///   the initial succinct environment is unchanged, and the edit does
-    ///   not flip weight monotonicity);
-    /// * removals, and deltas larger than a quarter of the environment,
-    ///   fall back to a fresh preparation (a removal shifts the interning
-    ///   sequence, so nothing can be proven bit-identical cheaply);
+    /// * additions and reweights re-run σ only on the appended declarations
+    ///   ([`PreparedEnv::prepare_incremental`]) and **carry over** every
+    ///   cached derivation graph whose exploration provably cannot observe
+    ///   the change (no changed declaration's return type was ever
+    ///   requested, the initial succinct environment is unchanged, and the
+    ///   edit does not flip weight monotonicity);
+    /// * a removal stays on the same incremental path when it is *inert*
+    ///   ([`PreparedEnv::removal_is_inert`]): every removed declaration's
+    ///   type was already interned by an earlier declaration, and its σ
+    ///   image keeps a surviving declaration — the common edit of dropping
+    ///   a local whose type the environment already has. Cached graphs are
+    ///   not carried across a removal (declaration indices shift). Any
+    ///   other removal, and deltas larger than a quarter of the environment
+    ///   (removed declarations count), fall back to a fresh preparation:
+    ///   such a removal shifts the interning sequence, so nothing can be
+    ///   proven bit-identical cheaply;
     /// * a no-op delta (or one whose result is already cached **with the
     ///   identical declaration order**) returns a session sharing the
     ///   existing point outright. Unlike [`Engine::prepare`], this path
@@ -1518,7 +1557,8 @@ impl Session {
     pub fn update(&self, delta: &EnvDelta) -> Session {
         let old_point = &self.point;
         let old_env = &old_point.env;
-        let new_env = delta.apply(old_env);
+        let kept = delta.kept(old_env);
+        let new_env = delta.apply_kept(old_env, &kept);
         let fingerprint = PreparedEnv::fingerprint_of(&new_env, &self.config.weights);
         // Sharing on this path demands the *identical* declaration list
         // (PointMatch::Exact, and plain equality for the no-op shortcut):
@@ -1538,12 +1578,14 @@ impl Session {
             }
         }
 
-        // The incremental path covers appends and in-place reweights; it is
-        // skipped when the delta rivals the environment in size (at that
-        // scale a fresh preparation costs about the same and carries no
-        // bookkeeping risk).
-        let incremental = delta.removes.is_empty()
-            && delta.adds.len() + delta.reweights.len() <= 16.max(old_env.len() / 4);
+        // The incremental path covers appends, in-place reweights and inert
+        // removals; it is skipped when the delta rivals the environment in
+        // size (at that scale a fresh preparation costs about the same and
+        // carries no bookkeeping risk).
+        let removed = old_env.len() - kept.len();
+        let incremental = removed + delta.adds.len() + delta.reweights.len()
+            <= 16.max(old_env.len() / 4)
+            && old_point.prepared.removal_is_inert(&kept);
         // The incremental path σ-lowers only the appended suffix, so it never
         // shards; the fresh fallback scales like Engine::prepare and does.
         let shards = if incremental {
@@ -1553,11 +1595,11 @@ impl Session {
         };
         let started = Instant::now();
         let prepared = if incremental {
-            Arc::new(PreparedEnv::prepare_appended(
+            Arc::new(PreparedEnv::prepare_incremental(
                 &old_point.prepared,
+                &kept,
                 &new_env,
                 &self.config.weights,
-                old_env.len(),
                 fingerprint,
             ))
         } else {
@@ -1569,14 +1611,14 @@ impl Session {
             ))
         };
         let prepare_time = started.elapsed();
-        self.cache.record_prepare(shards, prepare_time);
+        self.cache.record_prepare(shards, incremental, prepare_time);
         let point = Arc::new(PreparedPoint {
             env: new_env,
             prepared,
             prepare_time,
         });
 
-        if incremental && self.config.graph_cache_capacity > 0 {
+        if incremental && removed == 0 && self.config.graph_cache_capacity > 0 {
             // Selective carry-over: a cached graph survives the edit iff a
             // fresh build against the edited environment would be identical.
             // That holds when (a) the initial succinct environment kept its
@@ -2549,20 +2591,100 @@ mod tests {
     }
 
     #[test]
-    fn update_remove_falls_back_to_fresh_preparation() {
+    fn update_removing_a_type_introducing_declaration_prepares_fresh() {
         let engine = Engine::new(SynthesisConfig::default());
         let session = engine.prepare(&env_a());
         let _ = session.query(&Query::new(Ty::base("File")).with_n(5));
 
+        // `mkFile` first interned `File` and `{String} -> File`: dropping it
+        // shifts the interning sequence, so the update prepares fresh.
+        assert!(session.prepared().interned_new_type(1));
         let delta = EnvDelta::new().remove("mkFile");
         let updated = session.update(&delta);
         assert_eq!(updated.env().len(), 1);
+        let stats = engine.stats();
+        assert_eq!(stats.prepare_count, 2);
+        assert_eq!(stats.incremental_prepare_count, 0);
         let result = updated.query(&Query::new(Ty::base("File")).with_n(5));
         assert!(result.snippets.is_empty(), "File is no longer inhabited");
-        let fresh = Engine::new(SynthesisConfig::default())
-            .prepare(&delta.apply(session.env()))
-            .query(&Query::new(Ty::base("File")).with_n(5));
-        assert_eq!(render(&result), render(&fresh));
+        let fresh = Engine::new(SynthesisConfig::default()).prepare(&delta.apply(session.env()));
+        assert!(updated.prepared().identical_to(fresh.prepared()));
+        assert_eq!(
+            render(&result),
+            render(&fresh.query(&Query::new(Ty::base("File")).with_n(5)))
+        );
+
+        // The same holds when the declaration's σ class survives: `file`
+        // interned `File` before `name` interned `String`, so a fresh store
+        // without it numbers the two the other way round.
+        let env: TypeEnv = vec![
+            Declaration::new("file", Ty::base("File"), DeclKind::Local),
+            Declaration::new("name", Ty::base("String"), DeclKind::Local),
+            Declaration::new("file2", Ty::base("File"), DeclKind::Local),
+        ]
+        .into_iter()
+        .collect();
+        let session = engine.prepare(&env);
+        let delta = EnvDelta::new().remove("file");
+        let updated = session.update(&delta);
+        assert_eq!(engine.stats().incremental_prepare_count, 0);
+        let fresh = Engine::new(SynthesisConfig::default()).prepare(&delta.apply(&env));
+        assert!(updated.prepared().identical_to(fresh.prepared()));
+    }
+
+    #[test]
+    fn update_removing_an_inert_declaration_stays_incremental() {
+        let mut env = env_a();
+        env.push(Declaration::new(
+            "path",
+            Ty::base("String"),
+            DeclKind::Local,
+        ));
+        let engine = Engine::new(SynthesisConfig::default());
+        let session = engine.prepare(&env);
+        let before = session.query(&Query::new(Ty::base("File")).with_n(5));
+        assert_eq!(before.snippets.len(), 2);
+
+        // `path` interned nothing `name` had not, and `name` keeps the
+        // `String` member of Γ alive: the removal is inert.
+        assert!(!session.prepared().interned_new_type(2));
+        let delta = EnvDelta::new().remove("path").add(Declaration::new(
+            "dir",
+            Ty::base("String"),
+            DeclKind::Class,
+        ));
+        let updated = session.update(&delta);
+        let stats = engine.stats();
+        assert_eq!(stats.prepare_count, 2);
+        assert_eq!(stats.incremental_prepare_count, 1);
+
+        let fresh = Engine::new(SynthesisConfig::default()).prepare(&delta.apply(session.env()));
+        assert!(updated.prepared().identical_to(fresh.prepared()));
+        let query = Query::new(Ty::base("File")).with_n(5);
+        assert_eq!(render(&updated.query(&query)), render(&fresh.query(&query)));
+    }
+
+    #[test]
+    fn update_removing_the_last_declaration_of_a_sigma_class_prepares_fresh() {
+        let mut env = env_a();
+        env.push(Declaration::new("file", Ty::base("File"), DeclKind::Local));
+        let engine = Engine::new(SynthesisConfig::default());
+        let session = engine.prepare(&env);
+
+        // `mkFile` already interned the base type `File`, so `file` interned
+        // nothing new — but it is the only declaration of σ class `File`,
+        // so dropping it changes Γ's member set.
+        assert!(!session.prepared().interned_new_type(2));
+        let delta = EnvDelta::new().remove("file");
+        let updated = session.update(&delta);
+        let stats = engine.stats();
+        assert_eq!(stats.prepare_count, 2);
+        assert_eq!(stats.incremental_prepare_count, 0);
+
+        let fresh = Engine::new(SynthesisConfig::default()).prepare(&delta.apply(session.env()));
+        assert!(updated.prepared().identical_to(fresh.prepared()));
+        let query = Query::new(Ty::base("File")).with_n(5);
+        assert_eq!(render(&updated.query(&query)), render(&fresh.query(&query)));
     }
 
     #[test]
@@ -2685,7 +2807,7 @@ mod tests {
         let reversed: TypeEnv = forward.iter().rev().cloned().collect();
         assert!(envs_equivalent(&forward, &reversed));
         let mut duplicated = forward.clone();
-        duplicated.push(forward.decls()[0].clone());
+        duplicated.push((*forward.decls()[0]).clone());
         assert!(!envs_equivalent(&forward, &duplicated));
         let reweighted: TypeEnv = forward.iter().map(|d| d.clone().with_weight(1.0)).collect();
         assert!(!envs_equivalent(&forward, &reweighted));

@@ -572,7 +572,7 @@ pub struct TraceGenConfig {
     /// Probability an event on an open point is an update.
     pub update_fraction: f64,
     /// Probability an update also removes a previously added declaration
-    /// (exercising the engine's fresh-prepare fallback).
+    /// (exercising the engine's removal path).
     pub remove_fraction: f64,
     /// Probability an event on an open point pages deeper instead of
     /// starting a fresh query.

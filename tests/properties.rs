@@ -23,7 +23,8 @@
 //! * delta re-preparation — `Session::update(delta)` answers byte-identically
 //!   to a fresh `Engine::prepare` of the edited environment, for random
 //!   add/remove/reweight deltas including negative weight overrides (which
-//!   flip the walk into its best-first fallback),
+//!   flip the walk into its best-first fallback), and prepares to the very
+//!   same ids whenever its removals are inert and Γ keeps its members,
 //! * resumable streaming — `query(n=a)` then `query(n=a+b)` on one session
 //!   (which resumes the suspended walk, popping only the delta) answers
 //!   byte-identically to a one-shot `query(n=a+b)` on a cold engine, in both
@@ -390,8 +391,10 @@ proptest! {
         // The delta contract: updating a warm session must answer exactly
         // like an independent engine preparing the edited environment from
         // scratch — including negative reweights, which flip the walk into
-        // its best-first fallback, and removals, which take the
-        // fresh-prepare fallback internally.
+        // its best-first fallback, and removals, which stay incremental when
+        // inert and take the fresh-prepare fallback otherwise.
+        use insynth::succinct::TypeStore;
+
         let config = SynthesisConfig::unbounded().with_max_depth(3);
         let engine = Engine::new(config.clone());
         let session = engine.prepare(&env);
@@ -401,6 +404,7 @@ proptest! {
         let _ = session.query(&query);
 
         let mut delta = EnvDelta::new();
+        let added_tys: Vec<Ty> = adds.iter().map(|(ty, _)| ty.clone()).collect();
         for (i, (ty, kind)) in adds.into_iter().enumerate() {
             let kind = match kind {
                 0 => DeclKind::Local,
@@ -409,8 +413,12 @@ proptest! {
             };
             delta = delta.add(Declaration::simple(format!("new{i}"), ty, kind));
         }
-        for idx in removes {
-            delta = delta.remove(env.decls()[idx % env.len()].name.clone());
+        let removed_names: Vec<String> = removes
+            .iter()
+            .map(|idx| env.decls()[idx % env.len()].name.clone())
+            .collect();
+        for name in &removed_names {
+            delta = delta.remove(name.clone());
         }
         for (idx, weight) in reweights {
             // Mapped to the -4.0..40.0 range, negatives included (they flip
@@ -439,10 +447,76 @@ proptest! {
         let fresh = Engine::new(config).prepare(&edited);
         prop_assert_eq!(updated.fingerprint(), fresh.fingerprint());
 
+        // When every removal is inert (the removed declaration interned no
+        // type first and its σ class keeps a member) and no add brings a new
+        // member into Γ, the incremental preparation must be the fresh one,
+        // id for id — not merely answer like it.
+        let base = session.prepared();
+        let removed: Vec<usize> = (0..env.len())
+            .filter(|&i| removed_names.contains(&env.decls()[i].name))
+            .collect();
+        let removals_inert = removed.iter().all(|&i| {
+            !base.interned_new_type(i)
+                && base
+                    .select(base.decl_succ[i])
+                    .iter()
+                    .any(|j| !removed.contains(j))
+        });
+        let mut scratch = base.scratch();
+        let adds_known = added_tys.iter().all(|ty| {
+            let succ = scratch.sigma(ty);
+            scratch.env_contains(base.init_env, succ)
+        });
+        if removals_inert && adds_known {
+            prop_assert!(updated.prepared().identical_to(fresh.prepared()));
+        }
+
         let from_updated = updated.query(&query);
         let from_fresh = fresh.query(&query);
         prop_assert_eq!(result_key(&from_updated), result_key(&from_fresh));
         prop_assert_eq!(stats_key(&from_updated), stats_key(&from_fresh));
+    }
+
+    #[test]
+    fn inert_removals_stay_incremental_and_prepare_identically(
+        env in arb_env(),
+        goal in arb_goal(),
+        copies in vec(0usize..8, 1..4),
+        removes in vec(0usize..4, 1..3),
+        adds in vec(0usize..8, 0..2),
+    ) {
+        // A declaration that repeats an earlier declaration's type interns
+        // nothing, and the earlier one keeps its σ class alive: removing it
+        // is inert. So is adding a type Γ already has. Such an update must
+        // take the incremental path and still prepare to the fresh ids.
+        let originals = env.len();
+        let mut env = env;
+        for (i, idx) in copies.iter().enumerate() {
+            let ty = env.decls()[idx % originals].ty.clone();
+            env.push(Declaration::simple(format!("copy{i}"), ty, DeclKind::Local));
+        }
+        let config = SynthesisConfig::unbounded().with_max_depth(3);
+        let engine = Engine::new(config.clone());
+        let session = engine.prepare(&env);
+        let query = Query::new(goal).with_n(24);
+        let _ = session.query(&query);
+
+        let mut delta = EnvDelta::new();
+        for idx in removes {
+            delta = delta.remove(format!("copy{}", idx % copies.len()));
+        }
+        for (i, idx) in adds.iter().enumerate() {
+            let ty = env.decls()[idx % originals].ty.clone();
+            delta = delta.add(Declaration::simple(format!("new{i}"), ty, DeclKind::Class));
+        }
+        let updated = session.update(&delta);
+        let stats = engine.stats();
+        prop_assert_eq!(stats.prepare_count, 2);
+        prop_assert_eq!(stats.incremental_prepare_count, 1);
+
+        let fresh = Engine::new(config).prepare(&delta.apply(&env));
+        prop_assert!(updated.prepared().identical_to(fresh.prepared()));
+        prop_assert_eq!(result_key(&updated.query(&query)), result_key(&fresh.query(&query)));
     }
 
     #[test]

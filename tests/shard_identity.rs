@@ -133,11 +133,12 @@ proptest! {
         let weights = WeightConfig::default();
         let split = split.min(env.len());
         let prefix: TypeEnv = env.iter().take(split).cloned().collect();
-        let appended = PreparedEnv::prepare_appended(
+        let kept: Vec<usize> = (0..split).collect();
+        let appended = PreparedEnv::prepare_incremental(
             &PreparedEnv::prepare(&prefix, &weights),
+            &kept,
             &env,
             &weights,
-            split,
             PreparedEnv::fingerprint_of(&env, &weights),
         );
         let preparations = [

@@ -10,7 +10,7 @@
 //!   event), and a scripted-server transcript (`serve_script` over the
 //!   rendered request lines) produces the same result digest and, at one
 //!   worker, the same engine counters — including traces whose updates
-//!   remove declarations, which exercise the fresh-prepare fallback,
+//!   remove declarations, which exercise the removal path,
 //! * schedule independence — adding workers changes only the interleaving,
 //!   never the digest or the completion counts.
 
@@ -28,7 +28,7 @@ use insynth::server::{serve_script, Server};
 /// each replay case stays fast). Fractions are drawn as integer percentages
 /// because the vendored proptest stand-in only implements range strategies
 /// for unsigned integers; `remove_fraction` ranges up to 90% so a healthy
-/// share of cases drive the removal (fresh-prepare) path.
+/// share of cases drive the removal path.
 fn arb_gen_config() -> impl Strategy<Value = TraceGenConfig> {
     (
         (1u64..1_000_000, 1u32..6, 40u64..140, 1u32..5),
