@@ -37,14 +37,13 @@
 //! `R(aᵢ)` is producible (leaf members seed the set). Because inhabitation
 //! is monotone in the environment and every walk environment is a subset of
 //! `E_max`, a type unproducible here is unproducible everywhere — which is
-//! what makes the dead-declaration verdict sound for answer-preserving
-//! pruning.
+//! what makes the dead-declaration verdict sound.
 //!
 //! The crate is deliberately a leaf: it depends only on the succinct-type
 //! store and works on plain per-declaration facts ([`DeclFacts`]), so the
 //! engine, the CLI and the server all adapt to it rather than the other way
 //! around. Every output vector is sorted, so reports are byte-stable across
-//! runs and shard counts.
+//! runs.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
@@ -251,8 +250,8 @@ impl AnalysisReport {
 }
 
 /// The `E_max` closure and its producibility fixpoint — the reachability
-/// half of the analysis, reusable on its own (the prune path and the
-/// differential tests consume it without building a report).
+/// half of the analysis, reusable on its own (the differential tests
+/// consume it without building a report).
 #[derive(Debug, Clone)]
 pub struct Reachability {
     members: Vec<SuccinctTyId>,
@@ -262,8 +261,8 @@ pub struct Reachability {
 
 impl Reachability {
     /// Computes the member closure and producibility fixpoint from the given
-    /// seed member types (declaration σ images, plus — on the goal-directed
-    /// prune path — the goal's argument types, which STRIP would add).
+    /// seed member types (declaration σ images, plus — for a goal-directed
+    /// verdict — the goal's argument types, which STRIP would add).
     pub fn compute<S: TypeStore>(store: &S, seeds: &[SuccinctTyId]) -> Reachability {
         // Member / requestable closure: args of members are requestable;
         // args of requestable (functional) types become members (the lambda
@@ -358,26 +357,6 @@ impl Reachability {
             .map(|&a| store.ret_of(a))
             .find(|ret| !self.is_producible(*ret))
     }
-}
-
-/// Indices of declarations whose σ image has an unproducible argument type
-/// even in `E_max` extended with `goal_args` as members — sound to drop
-/// before building the derivation graph for that goal, because every
-/// environment the walk constructs is a subset of the extended `E_max` and
-/// inhabitation is monotone in the environment.
-pub fn dead_decl_indices<S: TypeStore>(
-    store: &S,
-    decl_succ: &[SuccinctTyId],
-    goal_args: &[SuccinctTyId],
-) -> Vec<usize> {
-    let seeds: Vec<SuccinctTyId> = decl_succ.iter().chain(goal_args).copied().collect();
-    let reachability = Reachability::compute(store, &seeds);
-    decl_succ
-        .iter()
-        .enumerate()
-        .filter(|(_, &succ)| reachability.blocking_arg(store, succ).is_some())
-        .map(|(idx, _)| idx)
-        .collect()
 }
 
 /// Analyzes one environment: computes the producibility fixpoint and emits
@@ -809,13 +788,11 @@ mod tests {
         // f : {B} -> C is dead alone, but a goal B -> C makes B a member.
         let mut store = SuccinctStore::new();
         let f = store.sigma(&Ty::fun(vec![Ty::base("B")], Ty::base("C")));
-        let decl_succ = vec![f];
-        assert_eq!(dead_decl_indices(&store, &decl_succ, &[]), vec![0]);
+        let alone = Reachability::compute(&store, &[f]);
+        assert!(alone.blocking_arg(&store, f).is_some());
         let b = store.sigma(&Ty::base("B"));
-        assert_eq!(
-            dead_decl_indices(&store, &decl_succ, &[b]),
-            Vec::<usize>::new()
-        );
+        let with_goal = Reachability::compute(&store, &[f, b]);
+        assert_eq!(with_goal.blocking_arg(&store, f), None);
     }
 
     #[test]

@@ -19,14 +19,7 @@ fn sigma_compression(c: &mut Criterion) {
             BenchmarkId::from_parameter(env.len()),
             &env,
             |bencher, env| {
-                // Explicitly one shard: the series measures sequential σ.
-                bencher.iter(|| {
-                    black_box(PreparedEnv::prepare_sharded(
-                        env,
-                        &WeightConfig::default(),
-                        1,
-                    ))
-                })
+                bencher.iter(|| black_box(PreparedEnv::prepare(env, &WeightConfig::default())))
             },
         );
     }

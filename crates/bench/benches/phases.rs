@@ -10,9 +10,9 @@
 //!   the environment grows from a few hundred to several thousand
 //!   declarations.
 //! * `session_amortization/...` splits that end-to-end cost into its parts:
-//!   preparing a session, querying an already prepared session, and the
-//!   prepare-per-query pattern the deprecated one-shot API forced. The gap
-//!   between the last two is the amortization the session API buys.
+//!   preparing a session, querying an already prepared session, and
+//!   preparing afresh for every query. The gap between the last two is the
+//!   amortization the session API buys.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -184,17 +184,9 @@ fn session_amortization(c: &mut Criterion) {
     let mut group = c.benchmark_group("session_amortization");
     group.sample_size(10);
     // A fresh engine per iteration measures the true σ cost; a shared engine
-    // would fingerprint-hit its point cache after the first iteration. σ is
-    // pinned to one shard so the series records the sequential cost on any
-    // machine (the sharded path has its own baseline entries).
+    // would fingerprint-hit its point cache after the first iteration.
     group.bench_function("prepare_only", |bencher| {
-        bencher.iter(|| {
-            let config = SynthesisConfig {
-                sigma_shards: 1,
-                ..SynthesisConfig::default()
-            };
-            black_box(Engine::new(config).prepare(&env))
-        })
+        bencher.iter(|| black_box(Engine::new(SynthesisConfig::default()).prepare(&env)))
     });
     // The cross-point fast path: preparing a structurally equal environment
     // on a warm engine is a fingerprint hash + verification, no σ.

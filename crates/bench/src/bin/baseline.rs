@@ -95,40 +95,32 @@
 //!    and report exactly the expected cache-hit counters (2 σ runs, 2 graph
 //!    builds, 2 resumed walks, 1 cancelled request) in its final
 //!    `server/stats` reply;
-//! 5. a **deterministic shard-invariance gate** — preparing a ~13k-decl
-//!    environment with 1, 2 and 8 σ shards must produce byte-identical
-//!    results (same fingerprint, same store tables and indices, id for id);
-//! 6. a **growth-exponent gate** — σ preparation re-measured along the
+//! 5. a **growth-exponent gate** — σ preparation re-measured along the
 //!    scaled 12k/25k/51k-declaration ladder must fit a near-linear power
 //!    law (exponent ≤ 1.5, re-measured once on a breach);
-//! 7. a **conditional parallel-speedup gate** — on runners with ≥ 4 cores,
-//!    sharded preparation of the 51k rung must be ≥ 2× faster than
-//!    sequential (re-measured once on a breach); on smaller machines the
-//!    gate prints a skip notice, since only the merge overhead is
-//!    measurable there;
-//! 8. an **environment-lint gate** — deterministic: `Engine::analyze` over
+//! 6. an **environment-lint gate** — deterministic: `Engine::analyze` over
 //!    the two shipped models (figure-1 filler-4 and the 13k scaled rung)
 //!    must report exactly the pinned per-severity diagnostic counts and
 //!    dead-declaration counts, and the committed `envlint.allow` must cover
 //!    every warning — the library-level twin of the CI `env-lint` job;
-//! 9. a **deterministic trace-replay gate** — a pinned seeded editor trace
+//! 7. a **deterministic trace-replay gate** — a pinned seeded editor trace
 //!    (400 events, 6 points, figure-1 filler-0) must replay to exactly the
 //!    recorded event count, σ-run count, graph-build count and result
 //!    digest, twice through the library path with byte-identical
 //!    counters-only reports, and once through the JSON server path with
 //!    the same digest; no timing involved;
-//! 10. a **deterministic removal gate** — the same seeded trace with a
-//!     removal-heavy update mix (update fraction 0.4, remove fraction 0.8)
-//!     must prepare fresh no more often than it opens a point, i.e. every
-//!     update, removals included, stays on the incremental σ path, and it
-//!     must replay to the digest pinned while removals still prepared
-//!     fresh; no timing involved;
-//! 11. a **top-rung exploration gate** — exploring the 51k-decl
-//!     `env_scaling` rung for the `env_scaling` goal under the default
-//!     limits (500 ms prover time limit) must not be time-truncated and must
-//!     process exactly as many requests as an unlimited run (re-measured
-//!     once on a breach);
-//! 12. a **timing-ratio gate** — re-measures the two `session_amortization`
+//! 8. a **deterministic removal gate** — the same seeded trace with a
+//!    removal-heavy update mix (update fraction 0.4, remove fraction 0.8)
+//!    must prepare fresh no more often than it opens a point, i.e. every
+//!    update, removals included, stays on the incremental σ path, and it
+//!    must replay to the digest pinned while removals still prepared
+//!    fresh; no timing involved;
+//! 9. a **top-rung exploration gate** — exploring the 51k-decl
+//!    `env_scaling` rung for the `env_scaling` goal under the default
+//!    limits (500 ms prover time limit) must not be time-truncated and must
+//!    process exactly as many requests as an unlimited run (re-measured
+//!    once on a breach);
+//! 10. a **timing-ratio gate** — re-measures the two `session_amortization`
 //!     query workloads and fails if the graph pipeline's speedup over the
 //!     unindexed pipeline shrank more than 25% against the recorded ratio.
 //!     A single noisy measurement window must not fail CI, so a breach is
@@ -173,17 +165,6 @@ const POPS_RATIO_FLOOR: usize = 2;
 /// stopped scaling (e.g. something quadratic crept into the σ loop or the
 /// index build).
 const GROWTH_EXPONENT_CAP: f64 = 1.5;
-
-/// Minimum speedup sharded preparation must deliver over sequential at the
-/// top `env_scaling` rung — enforced only on machines with at least
-/// [`PARALLEL_GATE_MIN_CORES`] cores.
-const PARALLEL_SPEEDUP_FLOOR: f64 = 2.0;
-
-/// Core count below which the parallel-speedup gate reports a skip instead
-/// of running: a 1–2 core runner can only measure the shard-merge overhead,
-/// and correctness on such machines is covered by the deterministic
-/// shard-invariance gate.
-const PARALLEL_GATE_MIN_CORES: usize = 4;
 
 /// The pinned counters of the deterministic trace-replay gate: replaying
 /// [`trace_gate_trace`] must report exactly these, and the same result
@@ -393,40 +374,6 @@ fn main() {
         });
     }
 
-    // parallel_prepare: sequential vs sharded σ-lowering at the ladder's top
-    // rung. Machine-specific like every number here — on a single-core
-    // container the sharded entry records the merge overhead rather than a
-    // win; the conditional --check speedup gate only arms on >= 4 cores.
-    {
-        let env = scaling_rungs.last().expect("ladder is non-empty");
-        let env_size = env.len();
-        let weights = WeightConfig::default();
-        let shards = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
-        for (id, shard_count) in [
-            ("sequential".to_owned(), 1usize),
-            (format!("sharded_np{shards}"), shards),
-        ] {
-            eprintln!("measuring parallel_prepare/{id}/{env_size} …");
-            let (samples, iters, min, median, mean) = measure(10, || {
-                PreparedEnv::prepare_sharded(env, &weights, shard_count)
-            });
-            measurements.push(Measurement {
-                bench: "phases",
-                group: "parallel_prepare",
-                id,
-                env_size,
-                samples,
-                iters_per_sample: iters,
-                min_ns: min,
-                median_ns: median,
-                mean_ns: mean,
-                growth_exponent: None,
-            });
-        }
-    }
-
     // session_amortization: prepare once vs query on a prepared session
     // (derivation-graph pipeline, cache warm after the first call) vs the
     // pre-refactor pipeline re-run per query.
@@ -438,16 +385,9 @@ fn main() {
 
         // A fresh engine per iteration measures the true σ cost; on a shared
         // engine every iteration after the first would be a fingerprint hit.
-        // σ is pinned to one shard: this entry is the longitudinal record of
-        // the *sequential* preparation cost (parallel_prepare records the
-        // sharded path under its own ids).
         eprintln!("measuring session_amortization/prepare_only/{env_size} …");
-        let sequential_config = || SynthesisConfig {
-            sigma_shards: 1,
-            ..SynthesisConfig::default()
-        };
         let (samples, iters, min, median, mean) =
-            measure(10, || Engine::new(sequential_config()).prepare(&env));
+            measure(10, || Engine::new(SynthesisConfig::default()).prepare(&env));
         measurements.push(Measurement {
             bench: "phases",
             group: "session_amortization",
@@ -777,15 +717,13 @@ fn main() {
     }
 
     // sigma_prepare: σ-lowering + index construction alone — mirrors
-    // benches/compression.rs. Explicitly pinned to one shard so the series
-    // stays comparable across machines with different core counts.
+    // benches/compression.rs.
     for filler in [0usize, 4, 8, 16] {
         let env = compression_environment(filler);
         let env_size = env.len();
         eprintln!("measuring sigma_prepare/{env_size} …");
-        let (samples, iters, min, median, mean) = measure(20, || {
-            PreparedEnv::prepare_sharded(&env, &WeightConfig::default(), 1)
-        });
+        let (samples, iters, min, median, mean) =
+            measure(20, || PreparedEnv::prepare(&env, &WeightConfig::default()));
         measurements.push(Measurement {
             bench: "compression",
             group: "sigma_prepare",
@@ -800,68 +738,34 @@ fn main() {
         });
     }
 
-    // analysis: the static-analysis pass on both shipped models, and the
-    // cost of a cold query with and without dead-decl pruning at the 13k
-    // rung. The analyze entries zero the engine's analysis cache so every
-    // iteration pays the full producibility fixpoint + diagnostics pass
-    // (the σ prepare itself is a fingerprint hit after warm-up); the
-    // query_cold entries pay everything — σ, the goal-directed dead-decl
-    // fixpoint and filtered re-prepare on the pruned side, explore,
-    // patterns, graph build, walk — so their gap records what the
-    // `prune_dead_decls` knob costs or buys end to end.
-    {
-        for (id, env) in [
-            ("analyze_figure1", phases_environment(4)),
-            ("analyze_scaled13k", scaled_environment(ENVLINT_SCALE)),
-        ] {
-            let env_size = env.len();
-            let engine = Engine::new(SynthesisConfig {
-                analysis_cache_capacity: 0,
-                ..SynthesisConfig::default()
-            });
-            let _warm = engine.prepare(&env);
-            eprintln!("measuring analysis/{id}/{env_size} …");
-            let (samples, iters, min, median, mean) = measure(10, || engine.analyze(&env));
-            measurements.push(Measurement {
-                bench: "phases",
-                group: "analysis",
-                id: id.to_owned(),
-                env_size,
-                samples,
-                iters_per_sample: iters,
-                min_ns: min,
-                median_ns: median,
-                mean_ns: mean,
-                growth_exponent: None,
-            });
-        }
-
-        let env = scaled_environment(ENVLINT_SCALE);
+    // analysis: the static-analysis pass on both shipped models. The engine's
+    // analysis cache is zeroed so every iteration pays the full
+    // producibility fixpoint + diagnostics pass (the σ prepare itself is a
+    // fingerprint hit after warm-up).
+    for (id, env) in [
+        ("analyze_figure1", phases_environment(4)),
+        ("analyze_scaled13k", scaled_environment(ENVLINT_SCALE)),
+    ] {
         let env_size = env.len();
-        let goal = amortization_goal();
-        for (id, prune) in [("query_cold_unpruned", false), ("query_cold_pruned", true)] {
-            eprintln!("measuring analysis/{id}/{env_size} …");
-            let (samples, iters, min, median, mean) = measure(10, || {
-                Engine::new(SynthesisConfig {
-                    prune_dead_decls: prune,
-                    ..SynthesisConfig::default()
-                })
-                .prepare(&env)
-                .query(&Query::new(goal.clone()))
-            });
-            measurements.push(Measurement {
-                bench: "phases",
-                group: "analysis",
-                id: id.to_owned(),
-                env_size,
-                samples,
-                iters_per_sample: iters,
-                min_ns: min,
-                median_ns: median,
-                mean_ns: mean,
-                growth_exponent: None,
-            });
-        }
+        let engine = Engine::new(SynthesisConfig {
+            analysis_cache_capacity: 0,
+            ..SynthesisConfig::default()
+        });
+        let _warm = engine.prepare(&env);
+        eprintln!("measuring analysis/{id}/{env_size} …");
+        let (samples, iters, min, median, mean) = measure(10, || engine.analyze(&env));
+        measurements.push(Measurement {
+            bench: "phases",
+            group: "analysis",
+            id: id.to_owned(),
+            env_size,
+            samples,
+            iters_per_sample: iters,
+            min_ns: min,
+            median_ns: median,
+            mean_ns: mean,
+            growth_exponent: None,
+        });
     }
 
     // trace_replay: one full editor-trace replay per iteration, library vs
@@ -925,7 +829,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, cross_point, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check fails when a query_batch over 4 structurally equal points stops reporting exactly 1 prepare + 1 graph build, when the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, when growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), when the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), when sharded preparation (1/2/8 σ shards) stops being byte-identical to sequential, when the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, when (on >= 4 cores) sharded preparation stops being 2x faster than sequential at the 51k rung, when Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, when the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), when the removal-heavy variant of that trace prepares fresh more often than it opens a point or drifts from its pinned digest, when exploring the 51k rung under the default limits is time-truncated or processes fewer requests than an unlimited run in two consecutive windows, or when the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
+        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, cross_point, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check runs ten gates and fails when (1) a query_batch over 4 structurally equal points stops reporting exactly 1 prepare + 1 graph build, (2) the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, (3) growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), (4) the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), (5) the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, (6) Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, (7) the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), (8) the removal-heavy variant of that trace prepares fresh more often than it opens a point or drifts from its pinned digest, (9) exploring the 51k rung under the default limits is time-truncated or processes fewer requests than an unlimited run in two consecutive windows, or (10) the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
     );
     out.push_str(
         "  \"_measurement\": \"per-iteration nanoseconds; warm-up-calibrated samples of batched iterations, as in vendor/criterion (min/median/mean only)\",\n",
@@ -1000,11 +904,11 @@ fn measure_query_ratio(env: &TypeEnv, goal: &Ty) -> (u128, u128, f64) {
     (query_median, unindexed_median, ratio)
 }
 
-/// The `--check` mode: the deterministic cross-point, pops, resume,
-/// scripted-session and shard-invariance gates, the growth-exponent and
-/// (on >= 4 cores) parallel-speedup gates, the env-lint and trace-replay
-/// gates, the top-rung exploration gate, then the timing-ratio gate
-/// against the recorded baseline. Timing compares the
+/// The `--check` mode: the ten gates listed in the module docs, in order —
+/// the deterministic cross-point, pops, resume and scripted-session gates,
+/// the growth-exponent gate, the env-lint, trace-replay and removal gates,
+/// the top-rung exploration gate, then the timing-ratio gate against the
+/// recorded baseline. Timing compares the
 /// speedup *ratio* with both sides measured on the current machine — a
 /// machine being uniformly slower (a CI runner) scales both medians and
 /// leaves the ratio unchanged; only a real regression of the production
@@ -1040,7 +944,7 @@ fn run_check(path: &str) -> i32 {
     let env = phases_environment(4);
     let goal = amortization_goal();
 
-    // Gate 0 — cross-point reuse, deterministic: a batch over four
+    // Gate 1 — cross-point reuse, deterministic: a batch over four
     // structurally equal program points (clones plus a declaration-order
     // permutation) must run σ exactly once and build exactly one derivation
     // graph. Builds are single-flight, so thread scheduling cannot affect
@@ -1068,7 +972,7 @@ fn run_check(path: &str) -> i32 {
         return 1;
     }
 
-    // Gate 1 — queue pops, deterministic: the A* walk must pop at most
+    // Gate 2 — queue pops, deterministic: the A* walk must pop at most
     // 1/POPS_RATIO_FLOOR of the best-first walk's entries on the same graph.
     let weights = WeightConfig::default();
     let graph = build_graph(&env, &weights, &goal);
@@ -1091,7 +995,7 @@ fn run_check(path: &str) -> i32 {
         return 1;
     }
 
-    // Gate 2 — resumable enumeration, deterministic: growing n=10 into n=20
+    // Gate 3 — resumable enumeration, deterministic: growing n=10 into n=20
     // on a warm session must resume the suspended walk — zero extra graph
     // builds, the `resumed` stat set, strictly fewer new pops than a
     // from-scratch n=20 on the same cached graph, and byte-identical
@@ -1143,7 +1047,7 @@ fn run_check(path: &str) -> i32 {
         return 1;
     }
 
-    // Gate 3 — scripted server session, deterministic: the stdio script the
+    // Gate 4 — scripted server session, deterministic: the stdio script the
     // server integration test drives (open → complete → paginate → update →
     // complete → cancel → stats → close) must produce a byte-identical
     // transcript on two fresh servers, and its final `server/stats` reply
@@ -1210,43 +1114,13 @@ fn run_check(path: &str) -> i32 {
         }
     }
 
-    // Gate 4 — shard-count invariance, deterministic: preparing a ~13k-decl
-    // environment with 1, 2 and 8 σ shards must produce byte-identical
-    // results — same fingerprint, same store tables, same indices, id for id
-    // (`PreparedEnv::identical_to`). This is the contract that makes the
-    // `sigma_shards` knob safe to default to the machine's parallelism, and
-    // it must hold on any core count (scoped threads run even on one core).
-    let scaled_small = scaled_environment(12_000);
-    let sequential_prepared = PreparedEnv::prepare_sharded(&scaled_small, &weights, 1);
-    for shards in [2usize, 8] {
-        let sharded = PreparedEnv::prepare_sharded(&scaled_small, &weights, shards);
-        let identical = sharded.fingerprint == sequential_prepared.fingerprint
-            && sharded.identical_to(&sequential_prepared);
-        println!(
-            "σ with {shards} shards on {} decls: {}",
-            scaled_small.len(),
-            if identical {
-                "byte-identical to sequential"
-            } else {
-                "DIVERGED"
-            },
-        );
-        if !identical {
-            println!(
-                "PERF REGRESSION: sharded preparation is no longer byte-identical to the \
-                 sequential result"
-            );
-            return 1;
-        }
-    }
-
     // Gate 5 — growth exponent, re-measured once on a breach: σ preparation
     // along the 12k/25k/51k scaled ladder must stay near-linear. The
     // exponent is fitted on this machine (log-log least squares over the
     // medians), so the gate transfers across runner speeds the same way the
     // ratio gate below does.
     let scaled_rungs: Vec<TypeEnv> = vec![
-        scaled_small,
+        scaled_environment(12_000),
         scaled_environment(25_000),
         scaled_environment(50_000),
     ];
@@ -1255,13 +1129,13 @@ fn run_check(path: &str) -> i32 {
         let ladder: Vec<(usize, u128)> = rungs
             .iter()
             .map(|env| {
-                let (_, _, _, median, _) =
-                    measure(5, || PreparedEnv::prepare_sharded(env, &weights, 1));
+                let (_, _, _, median, _) = measure(5, || PreparedEnv::prepare(env, &weights));
                 (env.len(), median)
             })
             .collect();
         growth_exponent(&ladder)
     };
+    let top_rung = scaled_rungs.last().expect("ladder is non-empty");
     let mut exponent = measure_exponent(&scaled_rungs);
     println!(
         "σ prepare growth exponent over {sizes:?} decls: {exponent:.2} \
@@ -1280,52 +1154,7 @@ fn run_check(path: &str) -> i32 {
         }
     }
 
-    // Gate 6 — parallel-prepare speedup, conditional: on machines with at
-    // least PARALLEL_GATE_MIN_CORES cores, sharded preparation of the top
-    // rung must beat sequential by PARALLEL_SPEEDUP_FLOOR. Skipped (with a
-    // visible notice) below that threshold — a 1-core container can only
-    // measure the merge overhead, which gate 4 already holds to correctness.
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let top_rung = scaled_rungs.last().expect("ladder is non-empty");
-    if cores >= PARALLEL_GATE_MIN_CORES {
-        let measure_speedup = || {
-            let (_, _, _, seq, _) =
-                measure(5, || PreparedEnv::prepare_sharded(top_rung, &weights, 1));
-            let (_, _, _, par, _) = measure(5, || {
-                PreparedEnv::prepare_sharded(top_rung, &weights, cores)
-            });
-            (seq, par, seq as f64 / par.max(1) as f64)
-        };
-        let (seq, par, mut speedup) = measure_speedup();
-        println!(
-            "parallel prepare at {} decls on {cores} cores: sequential {seq} ns, \
-             sharded {par} ns, speedup {speedup:.2}x (floor {PARALLEL_SPEEDUP_FLOOR}x)",
-            top_rung.len(),
-        );
-        if speedup < PARALLEL_SPEEDUP_FLOOR {
-            println!("speedup below the floor — re-measuring once to rule out a noisy window …");
-            let (seq, par, second) = measure_speedup();
-            speedup = second;
-            println!("re-measured: sequential {seq} ns, sharded {par} ns, speedup {second:.2}x");
-        }
-        if speedup < PARALLEL_SPEEDUP_FLOOR {
-            println!(
-                "PERF REGRESSION: sharded preparation no longer delivers a \
-                 {PARALLEL_SPEEDUP_FLOOR}x speedup at the top env_scaling rung in both \
-                 measurement windows"
-            );
-            return 1;
-        }
-    } else {
-        println!(
-            "parallel-prepare speedup gate skipped: {cores} core(s) available \
-             (needs >= {PARALLEL_GATE_MIN_CORES}); shard invariance was still checked by gate 4"
-        );
-    }
-
-    // Gate 7 — environment lint, deterministic: `Engine::analyze` over the
+    // Gate 6 — environment lint, deterministic: `Engine::analyze` over the
     // two shipped models must report exactly the pinned diagnostic counts,
     // and the committed allowlist must cover every warning — the
     // library-level twin of the CI env-lint job (which drives the
@@ -1382,7 +1211,7 @@ fn run_check(path: &str) -> i32 {
         }
     }
 
-    // Gate 8 — trace replay, deterministic: the pinned seeded editor trace
+    // Gate 7 — trace replay, deterministic: the pinned seeded editor trace
     // must replay to exactly the recorded event/prepare/graph-build counts
     // and result digest, byte-identically across two library runs, and the
     // JSON server path must digest identically to the library path on the
@@ -1430,7 +1259,7 @@ fn run_check(path: &str) -> i32 {
         }
     }
 
-    // Gate 9 — removals stay incremental, deterministic: the removal-heavy
+    // Gate 8 — removals stay incremental, deterministic: the removal-heavy
     // trace must prepare fresh only when it opens a point (every update,
     // removals included, takes the incremental path) and must still digest
     // to the value pinned while every removal prepared fresh.
@@ -1461,7 +1290,7 @@ fn run_check(path: &str) -> i32 {
         }
     }
 
-    // Gate 10 — exploration at the top rung: under the default limits,
+    // Gate 9 — exploration at the top rung: under the default limits,
     // exploring the 51k-decl rung for the env_scaling goal must finish
     // inside the prover time limit and process exactly as many requests as
     // an unlimited run. While MATCH scanned all of Γ per request, the time
@@ -1517,7 +1346,7 @@ fn run_check(path: &str) -> i32 {
         }
     }
 
-    // Gate 11 — query-time ratio, re-measured once on a breach.
+    // Gate 10 — query-time ratio, re-measured once on a breach.
     let (query_median, unindexed_median, first_ratio) = measure_query_ratio(&env, &goal);
     println!(
         "graph query median {query_median} ns, unindexed reference median {unindexed_median} ns: \

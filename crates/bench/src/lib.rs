@@ -67,7 +67,7 @@ pub fn build_graph(env: &TypeEnv, weights: &WeightConfig, goal: &Ty) -> Derivati
 }
 
 /// The IDE-scale environment used by the upper `env_scaling` rungs and the
-/// parallel-prepare benchmarks: the standard model grown with synthetic API
+/// growth-exponent gate: the standard model grown with synthetic API
 /// tiers ([`javaapi::scaled_model`]) until it holds at least `target_decls`
 /// declarations, everything imported, with the same two string locals and
 /// corpus frequencies as [`phases_environment`]. Deterministic in

@@ -305,6 +305,16 @@ impl DerivationGraph {
     /// graph snapshots its environment table and interns the few succinct
     /// types the patterns imply). After the build the graph is self-contained;
     /// the scratch can be dropped.
+    ///
+    /// The build runs in two passes. The *interning pass* walks the goals
+    /// and their patterns in index order; a pattern's variant `wanted` type
+    /// is its `head`. For each declaration `Select(head)` returns, the first
+    /// time the pass meets it, the argument hole types are resolved from the
+    /// prepared environment's argument table through the dense σ-id
+    /// shortcut, confirmed by `Ty` equality, falling back to `Ty`-keyed
+    /// interning (see the module docs, *Building the graph*). The
+    /// *resolution pass* then turns each variant's `Select` list into edges
+    /// of the packed edge slab.
     pub fn build(
         prepared: &Arc<PreparedEnv>,
         store: &mut ScratchStore<'_>,
@@ -313,45 +323,13 @@ impl DerivationGraph {
         weights: &WeightConfig,
         goal: &Ty,
     ) -> DerivationGraph {
-        Self::build_with_threads(prepared, store, patterns, env, weights, goal, 1)
-    }
-
-    /// [`DerivationGraph::build`] with the per-goal edge-resolution pass
-    /// fanned out over `threads` scoped threads (`<= 1` is the sequential
-    /// path; the output is byte-identical either way).
-    ///
-    /// The build is split into three passes so the parallel one touches no
-    /// interner: a *sequential interning pass* interns the hole types of
-    /// every selected declaration's arguments in a fixed order, a *parallel
-    /// resolution pass* turns each variant's `Select` list into edge triples
-    /// reading only immutable state, and a *sequential assembly pass*
-    /// concatenates the per-chunk results into the [`EdgeSlab`] in variant
-    /// order.
-    ///
-    /// The interning pass walks the goals and their patterns in index order.
-    /// A pattern's variant `wanted` type is its `head`. For each declaration
-    /// `Select(head)` returns, the first time the pass meets it, the argument
-    /// hole types are resolved from the prepared environment's argument
-    /// table through the dense σ-id shortcut, confirmed by `Ty` equality,
-    /// falling back to `Ty`-keyed interning (see the module docs, *Building
-    /// the graph*).
-    pub fn build_with_threads(
-        prepared: &Arc<PreparedEnv>,
-        store: &mut ScratchStore<'_>,
-        patterns: &PatternSet,
-        env: &TypeEnv,
-        weights: &WeightConfig,
-        goal: &Ty,
-        threads: usize,
-    ) -> DerivationGraph {
         let mut holes = HoleTyTable::new(prepared.store.ty_count());
 
         // Hole types of each declaration's uncurried arguments, shared by
         // every edge that declaration heads.
         let mut decl_args: Vec<Option<Arc<[HoleTyId]>>> = vec![None; env.len()];
 
-        // Pass 1 (sequential): interning, in exactly the order the
-        // single-threaded build performs it.
+        // Pass 1: interning.
         let index = patterns.index();
         let mut goal_ids =
             IdHashMap::with_capacity_and_hasher(index.goal_count(), Default::default());
@@ -388,9 +366,8 @@ impl DerivationGraph {
             node_offsets.push(variant_wanted.len() as u32);
         }
 
-        // Pass 2 (parallel) + pass 3 (sequential assembly): resolve every
-        // variant's `Select` list into packed edge slabs.
-        let edges = resolve_edges(prepared, &decl_args, node_offsets, variant_wanted, threads);
+        // Pass 2: resolve every variant's `Select` list into packed edges.
+        let edges = resolve_edges(prepared, &decl_args, node_offsets, variant_wanted);
 
         let root_ty = holes.intern(store, goal);
         let HoleTyTable { tys, ty_ids, .. } = holes;
@@ -615,84 +592,30 @@ impl HoleTyTable {
     }
 }
 
-/// One worker's packed share of the edge-resolution pass: per-variant edge
-/// counts plus flat edge columns, concatenated by the assembly pass.
-#[derive(Default)]
-struct EdgeChunk {
-    counts: Vec<u32>,
-    decl: Vec<u32>,
-    weight: Vec<Weight>,
-    args: Vec<Arc<[HoleTyId]>>,
-}
-
-/// Resolves every variant's `Select` list into the packed [`EdgeSlab`].
-///
-/// The per-variant work reads only immutable state (`prepared`, the filled
-/// `decl_args` table) and each variant's output is independent of every
-/// other's, so the variants are fanned out over `threads` contiguous chunks;
-/// the sequential assembly then concatenates chunk outputs in variant order,
-/// making the slab byte-identical to the `threads == 1` run.
+/// Resolves every variant's `Select` list into the packed [`EdgeSlab`], in
+/// variant order and, within a variant, in `Select` order.
 fn resolve_edges(
     prepared: &PreparedEnv,
     decl_args: &[Option<Arc<[HoleTyId]>>],
     node_offsets: Vec<u32>,
     variant_wanted: Vec<SuccinctTyId>,
-    threads: usize,
 ) -> EdgeSlab {
-    let resolve_chunk = |variants: &[SuccinctTyId]| -> EdgeChunk {
-        let mut chunk = EdgeChunk::default();
-        chunk.counts.reserve(variants.len());
-        for &wanted in variants {
-            let selected = prepared.select(wanted);
-            chunk.counts.push(selected.len() as u32);
-            for &decl_idx in selected {
-                chunk.decl.push(decl_idx as u32);
-                chunk.weight.push(prepared.decl_weight[decl_idx]);
-                chunk
-                    .args
-                    .push(decl_args[decl_idx].clone().expect("interned in pass 1"));
-            }
-        }
-        chunk
-    };
-
-    let threads = threads.max(1).min(variant_wanted.len().max(1));
-    let chunks: Vec<EdgeChunk> = if threads <= 1 {
-        vec![resolve_chunk(&variant_wanted)]
-    } else {
-        let per = variant_wanted.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = variant_wanted
-                .chunks(per)
-                .map(|vs| scope.spawn(move || resolve_chunk(vs)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("edge-resolution worker panicked"))
-                .collect()
-        })
-    };
-
-    let edge_total = chunks.iter().map(|c| c.decl.len()).sum();
     let mut slab = EdgeSlab {
         node_offsets,
-        variant_wanted,
-        variant_offsets: Vec::new(),
-        edge_decl: Vec::with_capacity(edge_total),
-        edge_weight: Vec::with_capacity(edge_total),
-        edge_args: Vec::with_capacity(edge_total),
+        variant_offsets: Vec::with_capacity(variant_wanted.len() + 1),
+        ..EdgeSlab::default()
     };
-    slab.variant_offsets.reserve(slab.variant_wanted.len() + 1);
     slab.variant_offsets.push(0);
-    for chunk in chunks {
-        for count in chunk.counts {
-            let last = *slab.variant_offsets.last().expect("seeded with 0");
-            slab.variant_offsets.push(last + count);
+    for &wanted in &variant_wanted {
+        for &decl_idx in prepared.select(wanted) {
+            slab.edge_decl.push(decl_idx as u32);
+            slab.edge_weight.push(prepared.decl_weight[decl_idx]);
+            slab.edge_args
+                .push(decl_args[decl_idx].clone().expect("interned in pass 1"));
         }
-        slab.edge_decl.extend(chunk.decl);
-        slab.edge_weight.extend(chunk.weight);
-        slab.edge_args.extend(chunk.args);
+        slab.variant_offsets.push(slab.edge_decl.len() as u32);
     }
+    slab.variant_wanted = variant_wanted;
     slab
 }
 
@@ -1897,82 +1820,6 @@ mod tests {
             .iter()
             .map(|r| (r.term.to_string(), r.weight.value().to_bits()))
             .collect()
-    }
-
-    #[test]
-    fn parallel_graph_build_is_byte_identical_to_sequential() {
-        let decls = vec![
-            Declaration::new("name", Ty::base("String"), DeclKind::Local),
-            Declaration::new(
-                "mkFile",
-                Ty::fun(vec![Ty::base("String")], Ty::base("File")),
-                DeclKind::Imported,
-            ),
-            Declaration::new(
-                "openFile",
-                Ty::fun(vec![Ty::base("String")], Ty::base("File")),
-                DeclKind::Imported,
-            ),
-            Declaration::new(
-                "render",
-                Ty::fun(
-                    vec![Ty::base("File"), Ty::base("String")],
-                    Ty::base("String"),
-                ),
-                DeclKind::Imported,
-            ),
-            Declaration::new(
-                "visit",
-                Ty::fun(
-                    vec![Ty::fun(vec![Ty::base("File")], Ty::base("String"))],
-                    Ty::base("Report"),
-                ),
-                DeclKind::Imported,
-            ),
-        ];
-        let env: TypeEnv = decls.into_iter().collect();
-        let weights = WeightConfig::default();
-        let goal = Ty::base("Report");
-        let prepared = Arc::new(PreparedEnv::prepare(&env, &weights));
-
-        let build = |threads: usize| {
-            let mut store = prepared.scratch();
-            let goal_succ = store.sigma(&goal);
-            let space = explore(&prepared, &mut store, goal_succ, &ExploreLimits::default());
-            let patterns = generate_patterns(&mut store, &space);
-            DerivationGraph::build_with_threads(
-                &prepared, &mut store, &patterns, &env, &weights, &goal, threads,
-            )
-        };
-
-        let sequential = build(1);
-        // Includes thread counts exceeding the variant count.
-        for threads in [2, 3, 8, 64] {
-            let parallel = build(threads);
-            assert_eq!(parallel.edges.node_offsets, sequential.edges.node_offsets);
-            assert_eq!(
-                parallel.edges.variant_wanted,
-                sequential.edges.variant_wanted
-            );
-            assert_eq!(
-                parallel.edges.variant_offsets,
-                sequential.edges.variant_offsets
-            );
-            assert_eq!(parallel.edges.edge_decl, sequential.edges.edge_decl);
-            assert_eq!(parallel.edges.edge_weight, sequential.edges.edge_weight);
-            assert_eq!(parallel.edges.edge_args, sequential.edges.edge_args);
-            assert_eq!(parallel.goal_ids, sequential.goal_ids);
-            assert_eq!(parallel.root_ty, sequential.root_ty);
-            assert_eq!(parallel.ty_ids, sequential.ty_ids);
-            match (&parallel.heuristic, &sequential.heuristic) {
-                (Some(p), Some(s)) => assert_eq!(p.node_bound, s.node_bound),
-                (None, None) => {}
-                _ => panic!("heuristic presence must not depend on thread count"),
-            }
-            let walked = generate_terms(&parallel, &env, 10, &GenerateLimits::default());
-            let reference = generate_terms(&sequential, &env, 10, &GenerateLimits::default());
-            assert_eq!(rendered(&walked), rendered(&reference));
-        }
     }
 
     #[test]

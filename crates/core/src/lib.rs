@@ -111,12 +111,10 @@ pub use insynth_analysis::{
     Allowlist, AnalysisReport, DeclFacts, Diagnostic, DiagnosticKind, Severity,
 };
 pub use insynth_succinct::EnvFingerprint;
-pub use prepare::{effective_sigma_shards, PreparedEnv};
+pub use prepare::PreparedEnv;
 pub use rcn::{is_inhabited_ref, rcn};
 pub use session::{
     BatchRequest, Engine, EngineStatsSnapshot, EnvDelta, Query, Session, TermStream,
 };
-#[allow(deprecated)]
-pub use synth::Synthesizer;
 pub use synth::{PhaseTimings, Snippet, SynthesisConfig, SynthesisResult, SynthesisStats};
 pub use weights::{Weight, WeightConfig, WeightMode, WeightTable};

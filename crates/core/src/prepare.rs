@@ -42,41 +42,21 @@
 //! ([`PreparedEnv::removal_is_inert`]). Every preparation records, per
 //! declaration, whether lowering it interned a type no earlier declaration
 //! had ([`PreparedEnv::interned_new_type`]); it records this by comparing
-//! the store's type count before and after, on the sequential, sharded and
-//! incremental paths alike. A declaration that interned nothing new, and
-//! whose σ image keeps another declaration in `Select`, can be dropped
-//! without changing the interning sequence of any other declaration or Γ's
-//! member set. Editors mostly remove locals of types the environment
-//! already has, so most removals stay incremental; removing a declaration
-//! that introduced a type needs a fresh preparation.
+//! the store's type count before and after, on the fresh and incremental
+//! paths alike. A declaration that interned nothing new, and whose σ image
+//! keeps another declaration in `Select`, can be dropped without changing
+//! the interning sequence of any other declaration or Γ's member set.
+//! Editors mostly remove locals of types the environment already has, so
+//! most removals stay incremental; removing a declaration that introduced a
+//! type needs a fresh preparation.
 //!
-//! # Scaling the environment axis
+//! # Why σ is sequential
 //!
-//! At IDE scale (tens of thousands of declarations) the σ loop dominates
-//! preparation, and it is embarrassingly parallel *except* for the interning
-//! store it mutates. [`PreparedEnv::prepare_sharded`] splits the declaration
-//! list into contiguous chunks, σ-lowers each chunk into a **private**
-//! [`SuccinctStore`] on a scoped thread, and then merges the shards with a
-//! deterministic replay: declarations are revisited in their original global
-//! order, and each shard-local type is re-interned into the canonical store
-//! the first time the walk reaches it. Because shard-local ids are assigned
-//! in σ's own first-encounter post-order, the replay re-creates exactly the
-//! ids a sequential [`PreparedEnv::prepare`] would — the result is
-//! **byte-identical** for every shard count (the same bit-compatibility
-//! contract [`PreparedEnv::prepare_incremental`] meets, property-tested in
-//! `tests/shard_identity.rs`).
-//!
-//! When does it pay off? The merge costs one `mk_ty` per *chunk-distinct*
-//! type plus a vector lookup per declaration, while the shards absorb the
-//! per-declaration hashing — so the win grows with the duplication factor σ
-//! exploits. Below roughly a thousand declarations the thread fan-out costs
-//! more than it saves; [`effective_sigma_shards`] encodes that policy and is
-//! what the engine applies to the [`SynthesisConfig::sigma_shards`] knob
-//! (`1` pins today's sequential path).
-//!
-//! [`SynthesisConfig::sigma_shards`]: crate::SynthesisConfig::sigma_shards
-
-use std::sync::Arc;
+//! σ-lowering is one sequential pass over the declarations into one
+//! interning store, as in the paper. Sharding it across threads with a
+//! deterministic merge lost to this loop at every benchmark size on a
+//! 2-vCPU host (13,982 declarations: 6.4–7.4 ms sequential against
+//! 9.7–9.9 ms with two shards), so there is no parallel path to keep in step.
 
 use insynth_intern::{IdHashMap, StableHasher, Symbol};
 use insynth_succinct::{
@@ -88,50 +68,6 @@ use insynth_lambda::Ty;
 
 use crate::decl::{DeclKind, Declaration, TypeEnv};
 use crate::weights::{Weight, WeightConfig};
-
-/// Declarations per shard below which fanning out costs more than it saves;
-/// [`effective_sigma_shards`] never cuts chunks finer than this.
-const MIN_DECLS_PER_SHARD: usize = 1024;
-
-/// The shard count the engine actually uses for an environment of `decls`
-/// declarations when the configuration asks for `requested` shards: capped so
-/// every shard keeps at least [`MIN_DECLS_PER_SHARD`] declarations (small
-/// environments degrade to the sequential path), never below 1.
-pub fn effective_sigma_shards(requested: usize, decls: usize) -> usize {
-    requested.max(1).min((decls / MIN_DECLS_PER_SHARD).max(1))
-}
-
-/// One shard's private σ-lowering: a fresh store holding the chunk's type
-/// images, plus the bookkeeping the deterministic merge replays them from.
-struct ShardLowering {
-    /// Private interning store; local ids are in σ's first-encounter order.
-    store: SuccinctStore,
-    /// Local σ image of each declaration in this shard's chunk.
-    decl_local: Vec<SuccinctTyId>,
-    /// Local argument table of the chunk (see [`DeclArgs`]).
-    args_local: DeclArgs,
-    /// Local `ty_count` after each declaration: the types first interned
-    /// while lowering chunk declaration `i` occupy the local id range
-    /// `watermarks[i-1]..watermarks[i]` (`0..watermarks[0]` for the first).
-    watermarks: Vec<u32>,
-}
-
-fn lower_chunk(decls: &[Arc<Declaration>]) -> ShardLowering {
-    let mut store = SuccinctStore::new();
-    let mut decl_local = Vec::with_capacity(decls.len());
-    let mut args_local = DeclArgs::with_capacity(decls.len());
-    let mut watermarks = Vec::with_capacity(decls.len());
-    for decl in decls {
-        decl_local.push(args_local.lower(&mut store, &decl.ty));
-        watermarks.push(store.ty_count() as u32);
-    }
-    ShardLowering {
-        store,
-        decl_local,
-        args_local,
-        watermarks,
-    }
-}
 
 /// The argument table: for each declaration, the σ ids of its uncurried
 /// arguments, in order and with duplicates kept. Declaration `i`'s entries
@@ -332,89 +268,6 @@ impl PreparedEnv {
         Self::finish_prepare(store, lowered, env, weights, fingerprint)
     }
 
-    /// [`PreparedEnv::prepare`] with σ-lowering sharded across `shards`
-    /// scoped threads (see the module-level *Scaling the environment axis*
-    /// section). Byte-identical to the sequential path for every shard
-    /// count; `shards <= 1` *is* the sequential path.
-    pub fn prepare_sharded(env: &TypeEnv, weights: &WeightConfig, shards: usize) -> Self {
-        Self::prepare_with_fingerprint_sharded(
-            env,
-            weights,
-            Self::fingerprint_of(env, weights),
-            shards,
-        )
-    }
-
-    /// [`PreparedEnv::prepare_sharded`] for callers that already computed the
-    /// environment's fingerprint.
-    ///
-    /// Each shard σ-lowers a contiguous chunk of declarations into a private
-    /// store; the merge then walks the declarations in global order and
-    /// re-interns each shard-local type into the canonical store the first
-    /// time it is reached. Shard-local ids are assigned in σ's own
-    /// first-encounter post-order (arguments strictly before the types that
-    /// use them), so the canonical store sees every creation in exactly the
-    /// sequence a sequential preparation would produce — same type ids, same
-    /// symbols, same counts, for any shard count.
-    pub fn prepare_with_fingerprint_sharded(
-        env: &TypeEnv,
-        weights: &WeightConfig,
-        fingerprint: EnvFingerprint,
-        shards: usize,
-    ) -> Self {
-        let shards = shards.max(1).min(env.len().max(1));
-        if shards <= 1 {
-            return Self::prepare_with_fingerprint(env, weights, fingerprint);
-        }
-        let chunk = env.len().div_ceil(shards);
-        let decls = env.decls();
-        let lowered: Vec<ShardLowering> = std::thread::scope(|scope| {
-            let handles: Vec<_> = decls
-                .chunks(chunk)
-                .map(|chunk_decls| scope.spawn(move || lower_chunk(chunk_decls)))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("σ shard panicked"))
-                .collect()
-        });
-
-        // Deterministic merge: revisit declarations in global order; for each,
-        // replay the shard-local types its lowering first interned (its
-        // watermark range), resolving local argument ids through the shard's
-        // memo — always present, since local args precede their users. The
-        // argument table maps through the same memo: a declaration's argument
-        // types are interned while lowering it, so they lie below its
-        // watermark.
-        let mut store = SuccinctStore::new();
-        let mut merged = Lowered::with_capacity(env.len());
-        let mut resolved: Vec<Vec<SuccinctTyId>> = lowered
-            .iter()
-            .map(|s| Vec::with_capacity(s.store.ty_count()))
-            .collect();
-        for idx in 0..env.len() {
-            let (shard_idx, off) = (idx / chunk, idx % chunk);
-            let shard = &lowered[shard_idx];
-            let memo = &mut resolved[shard_idx];
-            let hi = shard.watermarks[off] as usize;
-            let before = store.ty_count();
-            while memo.len() < hi {
-                let data = shard.store.ty(SuccinctTyId::from_index(memo.len() as u32));
-                let args: Vec<SuccinctTyId> =
-                    data.args.iter().map(|a| memo[a.as_usize()]).collect();
-                let ret = store.base_symbol(shard.store.base_name(data.ret));
-                let canonical = store.mk_ty(args, ret);
-                memo.push(canonical);
-            }
-            merged.push(
-                memo[shard.decl_local[off].as_usize()],
-                shard.args_local.of(off).iter().map(|a| memo[a.as_usize()]),
-                store.ty_count() > before,
-            );
-        }
-        Self::finish_prepare(store, merged, env, weights, fingerprint)
-    }
-
     /// Incrementally re-prepares for `env`, an edit of the environment `base`
     /// was prepared from: the base declarations at the ascending indices
     /// `kept`, in that order and with the same names and types (weights may
@@ -594,11 +447,9 @@ impl PreparedEnv {
     /// every index (`decl_succ`, the argument table, the new-type flags,
     /// `decl_weight`, `by_succ`, `ty_weight`, `init_env`) and every store
     /// table (symbol names, type records, the interned initial environment)
-    /// must match, id for id. This is the contract [`PreparedEnv::prepare_sharded`]
-    /// documents; the `baseline --check` shard-invariance gate and the
-    /// property tests hold arbitrary shard counts to it, and the delta
-    /// property test holds [`PreparedEnv::prepare_incremental`] to it
-    /// whenever the edit keeps Γ's member set.
+    /// must match, id for id. The delta property test holds
+    /// [`PreparedEnv::prepare_incremental`] to it whenever the edit keeps
+    /// Γ's member set.
     pub fn identical_to(&self, other: &PreparedEnv) -> bool {
         if self.fingerprint != other.fingerprint
             || self.init_env != other.init_env
@@ -727,7 +578,7 @@ mod tests {
     }
 
     #[test]
-    fn prepare_appended_is_bit_identical_to_fresh_preparation() {
+    fn prepare_incremental_over_the_whole_base_is_bit_identical_to_fresh_preparation() {
         let weights = WeightConfig::default();
         let old_env = env();
         let base = PreparedEnv::prepare(&old_env, &weights);
@@ -795,97 +646,5 @@ mod tests {
             PreparedEnv::fingerprint_of(&dup_env, &weights),
         );
         assert_eq!(dup.init_env, base.init_env);
-    }
-
-    /// Every observable field — including raw interned ids and store counts —
-    /// must agree between a sharded and a sequential preparation.
-    fn assert_prepare_identical(a: &PreparedEnv, b: &PreparedEnv) {
-        assert_eq!(a.decl_succ, b.decl_succ);
-        assert_eq!(a.decl_args, b.decl_args);
-        assert_eq!(a.interned_new, b.interned_new);
-        assert_eq!(a.decl_weight, b.decl_weight);
-        assert_eq!(a.by_succ, b.by_succ);
-        assert_eq!(a.ty_weight, b.ty_weight);
-        assert_eq!(a.init_env, b.init_env);
-        assert_eq!(a.fingerprint, b.fingerprint);
-        assert_eq!(a.store.ty_count(), b.store.ty_count());
-        assert_eq!(a.store.symbol_count(), b.store.symbol_count());
-        assert_eq!(a.store.env_types(a.init_env), b.store.env_types(b.init_env));
-    }
-
-    /// A small environment that exercises the interesting merge cases: types
-    /// duplicated across shards, nested arrows whose curried intermediates
-    /// must also replay, higher-order arguments, and single-shard chunks.
-    fn shard_env() -> TypeEnv {
-        let mut e = TypeEnv::new();
-        e.push(Declaration::new("a", Ty::base("Int"), DeclKind::Local));
-        e.push(Declaration::new(
-            "f",
-            Ty::fun(vec![Ty::base("Int"), Ty::base("Str")], Ty::base("File")),
-            DeclKind::Imported,
-        ));
-        e.push(Declaration::new(
-            "g",
-            Ty::fun(vec![Ty::base("Str"), Ty::base("Int")], Ty::base("File")),
-            DeclKind::Local,
-        ));
-        e.push(Declaration::new(
-            "h",
-            Ty::fun(
-                vec![Ty::fun(vec![Ty::base("Int")], Ty::base("Str"))],
-                Ty::base("Int"),
-            ),
-            DeclKind::Imported,
-        ));
-        e.push(Declaration::new("b", Ty::base("Str"), DeclKind::Class));
-        e.push(Declaration::new(
-            "k",
-            Ty::fun(vec![Ty::base("File")], Ty::base("Str")),
-            DeclKind::Local,
-        ));
-        e
-    }
-
-    #[test]
-    fn sharded_prepare_is_byte_identical_for_every_shard_count() {
-        let weights = WeightConfig::default();
-        let env = shard_env();
-        let sequential = PreparedEnv::prepare(&env, &weights);
-        // Includes shard counts exceeding the declaration count.
-        for shards in [1, 2, 3, 4, 8, 64] {
-            let sharded = PreparedEnv::prepare_sharded(&env, &weights, shards);
-            assert_prepare_identical(&sharded, &sequential);
-        }
-    }
-
-    #[test]
-    fn sharded_prepare_handles_degenerate_environments() {
-        let weights = WeightConfig::default();
-        let empty = TypeEnv::new();
-        assert_prepare_identical(
-            &PreparedEnv::prepare_sharded(&empty, &weights, 8),
-            &PreparedEnv::prepare(&empty, &weights),
-        );
-        let mut one = TypeEnv::new();
-        one.push(Declaration::new(
-            "only",
-            Ty::fun(vec![Ty::base("A")], Ty::base("B")),
-            DeclKind::Local,
-        ));
-        assert_prepare_identical(
-            &PreparedEnv::prepare_sharded(&one, &weights, 8),
-            &PreparedEnv::prepare(&one, &weights),
-        );
-    }
-
-    #[test]
-    fn effective_sigma_shards_keeps_chunks_coarse() {
-        // Small environments degrade to the sequential path.
-        assert_eq!(effective_sigma_shards(8, 500), 1);
-        assert_eq!(effective_sigma_shards(8, 2048), 2);
-        // Large environments honor the request.
-        assert_eq!(effective_sigma_shards(8, 50_000), 8);
-        // Zero is treated as one.
-        assert_eq!(effective_sigma_shards(0, 50_000), 1);
     }
 }

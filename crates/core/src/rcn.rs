@@ -3,7 +3,7 @@
 //! These are direct, unoptimized transcriptions of the paper's specification:
 //! `RCN(Γo, τ, d)` returns *every* term in long normal form of type τ up to
 //! depth `d`. They are exponential and intended purely as the oracle against
-//! which the production engine ([`crate::Synthesizer`]) is cross-checked in
+//! which the production engine ([`crate::Session`]) is cross-checked in
 //! the soundness/completeness tests (Theorem 3.3).
 
 use std::collections::{HashMap, HashSet};

@@ -84,7 +84,7 @@ use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWrite
 use std::thread;
 use std::time::{Duration, Instant};
 
-use insynth_analysis::{analyze, dead_decl_indices, AnalysisReport, DeclFacts};
+use insynth_analysis::{analyze, AnalysisReport, DeclFacts};
 use insynth_lambda::Ty;
 use insynth_succinct::EnvFingerprint;
 
@@ -94,7 +94,7 @@ use crate::explore::{explore, ExploreLimits};
 use crate::genp::generate_patterns;
 use crate::gent::{CancelToken, GenerateLimits, RankedTerm};
 use crate::graph::{lock_recovering, DerivationGraph, WalkState};
-use crate::prepare::{effective_sigma_shards, PreparedEnv};
+use crate::prepare::PreparedEnv;
 use crate::synth::{PhaseTimings, Snippet, SynthesisConfig, SynthesisResult, SynthesisStats};
 use crate::weights::WeightConfig;
 
@@ -129,18 +129,8 @@ pub struct EngineStatsSnapshot {
     /// The part of `prepare_count` that took the incremental delta path
     /// ([`PreparedEnv::prepare_incremental`]); the rest prepared fresh.
     pub incremental_prepare_count: usize,
-    /// σ-lowering runs that took the sharded parallel path (more than one
-    /// shard after the [`effective_sigma_shards`] policy; small environments
-    /// and incremental delta re-preparations stay sequential).
-    pub sharded_prepare_count: usize,
     /// Cumulative wall time of all σ-lowering runs, in nanoseconds.
     pub prepare_time_ns: u64,
-    /// Portion of `prepare_time_ns` spent in sharded parallel runs.
-    pub sharded_prepare_time_ns: u64,
-    /// The configured [`SynthesisConfig::sigma_shards`] knob.
-    pub sigma_shards: usize,
-    /// The configured [`SynthesisConfig::graph_build_threads`] knob.
-    pub graph_build_threads: usize,
     /// Derivation-graph builds across every session of this engine.
     pub graph_build_count: usize,
     /// Prepared program points currently cached.
@@ -213,18 +203,16 @@ impl Engine {
                 return self.session_for(point);
             }
         }
-        let shards = effective_sigma_shards(self.config.sigma_shards, env.len());
         let started = Instant::now();
-        let prepared = Arc::new(PreparedEnv::prepare_with_fingerprint_sharded(
+        let prepared = Arc::new(PreparedEnv::prepare_with_fingerprint(
             env,
             &self.config.weights,
             fingerprint,
-            shards,
         ));
         // prepare_time covers only the σ-lowering and index construction —
         // the quantity queries amortize — not the bookkeeping copies below.
         let prepare_time = started.elapsed();
-        self.cache.record_prepare(shards, false, prepare_time);
+        self.cache.record_prepare(false, prepare_time);
         let point = Arc::new(PreparedPoint {
             env: env.clone(),
             prepared,
@@ -296,8 +284,8 @@ impl Engine {
     /// Reports are cached by environment fingerprint alongside the point
     /// cache (bounded by [`SynthesisConfig::analysis_cache_capacity`]), so
     /// re-analyzing an unchanged environment is a lookup. The diagnostics
-    /// are deterministic: equal environments yield byte-equal reports, on
-    /// every run and for every `sigma_shards` setting.
+    /// are deterministic: equal environments yield byte-equal reports on
+    /// every run.
     pub fn analyze(&self, env: &TypeEnv) -> Arc<AnalysisReport> {
         self.prepare(env).analyze()
     }
@@ -328,11 +316,7 @@ impl Engine {
         EngineStatsSnapshot {
             prepare_count: self.prepare_count(),
             incremental_prepare_count: self.cache.incremental_prepares.load(Ordering::Relaxed),
-            sharded_prepare_count: self.cache.sharded_prepares.load(Ordering::Relaxed),
             prepare_time_ns: self.cache.prepare_time_ns.load(Ordering::Relaxed),
-            sharded_prepare_time_ns: self.cache.sharded_prepare_time_ns.load(Ordering::Relaxed),
-            sigma_shards: self.config.sigma_shards,
-            graph_build_threads: self.config.graph_build_threads,
             graph_build_count: self.graph_build_count(),
             cached_point_count: self.cached_point_count(),
             cached_graph_count: self.cached_graph_count(),
@@ -753,15 +737,11 @@ impl Query {
                 .unwrap_or(base.max_reconstruction_steps),
             max_depth: self.max_depth.unwrap_or(base.max_depth),
             erase_coercions: self.erase_coercions.unwrap_or(base.erase_coercions),
-            // Engine-level knobs; queries cannot override the cache bounds
-            // or the parallelism of shared preparation/build phases.
+            // Engine-level knobs; queries cannot override the cache bounds.
             graph_cache_capacity: base.graph_cache_capacity,
             point_cache_capacity: base.point_cache_capacity,
             suspended_walk_capacity: base.suspended_walk_capacity,
-            sigma_shards: base.sigma_shards,
-            graph_build_threads: base.graph_build_threads,
             analysis_cache_capacity: base.analysis_cache_capacity,
-            prune_dead_decls: base.prune_dead_decls,
         }
     }
 }
@@ -1024,12 +1004,8 @@ pub(crate) struct ArtifactCache {
     prepares: AtomicUsize,
     /// The incremental part of `prepares`.
     incremental_prepares: AtomicUsize,
-    /// σ-lowering runs that took the sharded parallel path (> 1 shard).
-    sharded_prepares: AtomicUsize,
     /// Cumulative wall time of all σ-lowering runs, in nanoseconds.
     prepare_time_ns: AtomicU64,
-    /// Portion of `prepare_time_ns` spent in sharded parallel runs.
-    sharded_prepare_time_ns: AtomicU64,
     /// Derivation-graph builds across every session of the engine.
     graph_builds: AtomicUsize,
     /// Environment analyses performed (analysis-cache misses).
@@ -1045,29 +1021,21 @@ impl ArtifactCache {
             clock: AtomicU64::new(0),
             prepares: AtomicUsize::new(0),
             incremental_prepares: AtomicUsize::new(0),
-            sharded_prepares: AtomicUsize::new(0),
             prepare_time_ns: AtomicU64::new(0),
-            sharded_prepare_time_ns: AtomicU64::new(0),
             graph_builds: AtomicUsize::new(0),
             analyses_run: AtomicUsize::new(0),
         }
     }
 
     /// Accounts one σ-lowering run: the work counter, its wall time, and —
-    /// when it was incremental, or fanned out over more than one shard — the
-    /// path counters the stats snapshot reports.
-    fn record_prepare(&self, shards: usize, incremental: bool, elapsed: Duration) {
-        let ns = elapsed.as_nanos() as u64;
+    /// when it was incremental — the path counter the stats snapshot reports.
+    fn record_prepare(&self, incremental: bool, elapsed: Duration) {
         self.prepares.fetch_add(1, Ordering::Relaxed);
         if incremental {
             self.incremental_prepares.fetch_add(1, Ordering::Relaxed);
         }
-        self.prepare_time_ns.fetch_add(ns, Ordering::Relaxed);
-        if shards > 1 {
-            self.sharded_prepares.fetch_add(1, Ordering::Relaxed);
-            self.sharded_prepare_time_ns
-                .fetch_add(ns, Ordering::Relaxed);
-        }
+        self.prepare_time_ns
+            .fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
     }
 
     fn stamp(&self) -> u64 {
@@ -1586,13 +1554,6 @@ impl Session {
         let incremental = removed + delta.adds.len() + delta.reweights.len()
             <= 16.max(old_env.len() / 4)
             && old_point.prepared.removal_is_inert(&kept);
-        // The incremental path σ-lowers only the appended suffix, so it never
-        // shards; the fresh fallback scales like Engine::prepare and does.
-        let shards = if incremental {
-            1
-        } else {
-            effective_sigma_shards(self.config.sigma_shards, new_env.len())
-        };
         let started = Instant::now();
         let prepared = if incremental {
             Arc::new(PreparedEnv::prepare_incremental(
@@ -1603,15 +1564,14 @@ impl Session {
                 fingerprint,
             ))
         } else {
-            Arc::new(PreparedEnv::prepare_with_fingerprint_sharded(
+            Arc::new(PreparedEnv::prepare_with_fingerprint(
                 &new_env,
                 &self.config.weights,
                 fingerprint,
-                shards,
             ))
         };
         let prepare_time = started.elapsed();
-        self.cache.record_prepare(shards, incremental, prepare_time);
+        self.cache.record_prepare(incremental, prepare_time);
         let point = Arc::new(PreparedPoint {
             env: new_env,
             prepared,
@@ -1788,70 +1748,9 @@ fn changed_ret_names(
     changed.into_iter().collect()
 }
 
-/// The opt-in dead-declaration prune ([`SynthesisConfig::prune_dead_decls`]):
-/// runs the goal-extended producibility analysis over `point` and, when it
-/// proves declarations dead, re-prepares the environment without them.
-/// Returns `None` when nothing is prunable (the common case — the caller
-/// builds against the original point, paying nothing beyond the analysis).
-///
-/// Answer-preserving by construction: a declaration is only dropped when
-/// some parameter type is unproducible even in `E_max` extended with the
-/// goal's argument types, and every environment the walk constructs is a
-/// subset of that extension — so the declaration can head no subterm of any
-/// completion for this goal. The pruned point's σ cost is deliberately not
-/// recorded in the engine's prepare counters (the prune is a per-build
-/// private detail, not a cross-point cache event).
-fn pruned_point(
-    point: &Arc<PreparedPoint>,
-    config: &SynthesisConfig,
-    goal: &Ty,
-) -> Option<Arc<PreparedPoint>> {
-    use insynth_succinct::TypeStore;
-
-    let prepared = &point.prepared;
-    let mut store = prepared.scratch();
-    let goal_succ = store.sigma(goal);
-    let goal_args = store.args_of(goal_succ).to_vec();
-    let dead = dead_decl_indices(&store, &prepared.decl_succ, &goal_args);
-    if dead.is_empty() {
-        return None;
-    }
-    let dead: std::collections::HashSet<usize> = dead.into_iter().collect();
-    let env: TypeEnv = point
-        .env
-        .iter()
-        .enumerate()
-        .filter(|(idx, _)| !dead.contains(idx))
-        .map(|(_, decl)| decl.clone())
-        .collect();
-    let prepared = Arc::new(PreparedEnv::prepare(&env, &config.weights));
-    Some(Arc::new(PreparedPoint {
-        env,
-        prepared,
-        prepare_time: Duration::ZERO,
-    }))
-}
-
 /// Runs exploration, pattern generation and graph compilation for one goal —
-/// the phases the engine caches per [`ArtifactKey`]. With
-/// [`SynthesisConfig::prune_dead_decls`] set, the build first drops the
-/// declarations the static analysis proves unusable for this goal and runs
-/// against the pruned point; the emitted terms and weights are identical
-/// either way (the prune is answer-preserving), only the graph is smaller.
+/// the phases the engine caches per [`ArtifactKey`].
 pub(crate) fn build_artifacts(
-    point: &Arc<PreparedPoint>,
-    config: &SynthesisConfig,
-    goal: &Ty,
-) -> QueryArtifacts {
-    if config.prune_dead_decls {
-        if let Some(pruned) = pruned_point(point, config, goal) {
-            return build_artifacts_inner(&pruned, config, goal);
-        }
-    }
-    build_artifacts_inner(point, config, goal)
-}
-
-fn build_artifacts_inner(
     point: &Arc<PreparedPoint>,
     config: &SynthesisConfig,
     goal: &Ty,
@@ -1879,15 +1778,7 @@ fn build_artifacts_inner(
     // the graph is what GenerateP now emits.
     let patterns_started = Instant::now();
     let patterns = generate_patterns(&mut store, &space);
-    let graph = DerivationGraph::build_with_threads(
-        prepared,
-        &mut store,
-        &patterns,
-        env,
-        &config.weights,
-        goal,
-        config.graph_build_threads,
-    );
+    let graph = DerivationGraph::build(prepared, &mut store, &patterns, env, &config.weights, goal);
     let patterns_time = patterns_started.elapsed();
 
     let touched: BTreeSet<String> = space
@@ -2764,26 +2655,15 @@ mod tests {
     #[test]
     fn engine_stats_snapshot_tracks_counters_and_cache_sizes() {
         let engine = Engine::new(SynthesisConfig::default());
-        let fresh = engine.stats();
-        // A fresh engine reports only the configured parallelism knobs.
-        assert_eq!(
-            fresh,
-            EngineStatsSnapshot {
-                sigma_shards: engine.config().sigma_shards,
-                graph_build_threads: engine.config().graph_build_threads,
-                ..EngineStatsSnapshot::default()
-            }
-        );
+        // A fresh engine reports nothing, whatever host it runs on.
+        assert_eq!(engine.stats(), EngineStatsSnapshot::default());
 
         let session = engine.prepare(&env_b());
         let result = session.query(&Query::new(Ty::base("A")).with_n(2));
         assert!(result.stats.has_more);
         let stats = engine.stats();
         assert_eq!(stats.prepare_count, 1);
-        // env_b is far below the sharding threshold: sequential path.
-        assert_eq!(stats.sharded_prepare_count, 0);
         assert!(stats.prepare_time_ns > 0);
-        assert_eq!(stats.sharded_prepare_time_ns, 0);
         assert_eq!(stats.graph_build_count, 1);
         assert_eq!(stats.cached_point_count, 1);
         assert_eq!(stats.cached_graph_count, 1);

@@ -1,18 +1,15 @@
-//! Synthesis configuration and results, plus the deprecated one-shot façade.
+//! Synthesis configuration and results.
 //!
 //! The types here describe a query's configuration ([`SynthesisConfig`]) and
 //! outcome ([`SynthesisResult`]: ranked [`Snippet`]s, [`PhaseTimings`],
 //! [`SynthesisStats`] — the quantities reported in Table 2). The entry point
-//! for running queries is the session API ([`Engine`] → [`Session`](crate::Session)
-//! → [`Query`]); the [`Synthesizer`] struct kept here is a deprecated shim
-//! that prepares a throwaway session per call.
+//! for running queries is the session API ([`Engine`](crate::Engine) → [`Session`](crate::Session)
+//! → [`Query`](crate::Query)).
 
 use std::time::Duration;
 
-use insynth_lambda::{Term, Ty};
+use insynth_lambda::Term;
 
-use crate::decl::TypeEnv;
-use crate::session::{Engine, Query};
 use crate::weights::{Weight, WeightConfig};
 
 /// Configuration of a synthesis query.
@@ -38,7 +35,7 @@ pub struct SynthesisConfig {
     /// snippets (the behaviour of the paper's tool); the raw term is still
     /// available on each [`Snippet`].
     pub erase_coercions: bool,
-    /// Upper bound on the number of derivation graphs the [`Engine`]'s
+    /// Upper bound on the number of derivation graphs the [`Engine`](crate::Engine)'s
     /// cross-point artifact cache keeps (one per distinct environment
     /// fingerprint / goal / prover-budget combination queried, shared by
     /// every [`Session`](crate::Session) the engine prepared). When the
@@ -67,42 +64,12 @@ pub struct SynthesisConfig {
     /// Evicted least-recently-used per graph; `0` disables walk persistence
     /// (every query replays its walk; results are identical either way).
     pub suspended_walk_capacity: usize,
-    /// Number of shards σ-lowering fans out over when the engine prepares an
-    /// environment (see `PreparedEnv::prepare_sharded`). Defaults to the
-    /// machine's available parallelism; `1` pins the sequential path. The
-    /// engine additionally caps the count so each shard keeps a useful chunk
-    /// of declarations (`effective_sigma_shards`), so small environments
-    /// never pay the fan-out. Results are byte-identical for every value.
-    pub sigma_shards: usize,
-    /// Number of scoped threads the derivation-graph build fans its per-goal
-    /// edge-resolution pass over (see `DerivationGraph::build_with_threads`).
-    /// Defaults to the machine's available parallelism; `1` pins the
-    /// sequential path. Results are byte-identical for every value.
-    pub graph_build_threads: usize,
     /// Upper bound on the number of environment analyses
     /// ([`Engine::analyze`](crate::Engine::analyze) reports) the engine
     /// caches, keyed by environment fingerprint alongside the point cache.
     /// Evicted least-recently-used; `0` disables analysis caching (every
     /// call re-runs the producibility fixpoint).
     pub analysis_cache_capacity: usize,
-    /// When `true`, each query first runs the goal-directed dead-declaration
-    /// analysis and builds its derivation graph from the environment with
-    /// the proven-dead declarations removed. Answer-preserving by
-    /// construction (a dead declaration can appear in no completion for any
-    /// goal), and typically cheaper on environments with unreachable
-    /// regions; default `false` keeps the build byte-for-byte identical to
-    /// earlier releases. Engine-level: fixed at engine construction, not
-    /// overridable per query.
-    pub prune_dead_decls: bool,
-}
-
-/// The machine's available parallelism, or `1` when it cannot be queried —
-/// the default for [`SynthesisConfig::sigma_shards`] and
-/// [`SynthesisConfig::graph_build_threads`].
-fn default_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 impl Default for SynthesisConfig {
@@ -118,10 +85,7 @@ impl Default for SynthesisConfig {
             graph_cache_capacity: 64,
             point_cache_capacity: 32,
             suspended_walk_capacity: 4,
-            sigma_shards: default_parallelism(),
-            graph_build_threads: default_parallelism(),
             analysis_cache_capacity: 32,
-            prune_dead_decls: false,
         }
     }
 }
@@ -253,76 +217,15 @@ impl SynthesisResult {
     }
 }
 
-/// Deprecated one-shot façade over the session API.
-///
-/// Every call prepares a throwaway [`Session`](crate::Session). The engine's
-/// fingerprint-keyed point cache now absorbs the repeated σ-lowering this
-/// pattern used to pay, but each call still re-hashes the environment and
-/// rebuilds the session plumbing; prepare once and keep the session instead:
-///
-/// ```
-/// use insynth_core::{Declaration, DeclKind, Engine, Query, SynthesisConfig, TypeEnv};
-/// use insynth_lambda::Ty;
-///
-/// let mut env = TypeEnv::new();
-/// env.push(Declaration::simple("name", Ty::base("String"), DeclKind::Local));
-/// env.push(Declaration::simple(
-///     "mkFile",
-///     Ty::fun(vec![Ty::base("String")], Ty::base("File")),
-///     DeclKind::Imported,
-/// ));
-/// let engine = Engine::new(SynthesisConfig::default());
-/// let session = engine.prepare(&env);
-/// let result = session.query(&Query::new(Ty::base("File")).with_n(5));
-/// assert_eq!(result.snippets[0].term.to_string(), "mkFile(name)");
-/// ```
-#[deprecated(note = "use Engine/Session")]
-#[derive(Debug, Clone, Default)]
-pub struct Synthesizer {
-    engine: Engine,
-}
-
-#[allow(deprecated)]
-impl Synthesizer {
-    /// Creates an engine with the given configuration.
-    pub fn new(config: SynthesisConfig) -> Self {
-        Synthesizer {
-            engine: Engine::new(config),
-        }
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SynthesisConfig {
-        self.engine.config()
-    }
-
-    /// Synthesizes at most `n` snippets of type `goal` from the declarations
-    /// in `env`, ranked by ascending weight.
-    ///
-    /// Prepares `env` from scratch on every call; use
-    /// [`Engine::prepare`] + [`Session::query`](crate::Session::query) to
-    /// prepare once and query many times.
-    pub fn synthesize(&self, env: &TypeEnv, goal: &Ty, n: usize) -> SynthesisResult {
-        self.engine
-            .prepare(env)
-            .query(&Query::new(goal.clone()).with_n(n))
-    }
-
-    /// Decides inhabitation only (the "prover" mode used for the Imogen/fCube
-    /// comparison of Table 2), preparing `env` from scratch on every call.
-    pub fn is_inhabited(&self, env: &TypeEnv, goal: &Ty) -> bool {
-        self.engine.prepare(env).is_inhabited(goal)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::decl::{DeclKind, Declaration};
+    use crate::decl::{DeclKind, Declaration, TypeEnv};
     use crate::rcn::{is_inhabited_ref, rcn};
+    use crate::session::{Engine, Query};
     use crate::weights::WeightMode;
     use crate::SubtypeLattice;
-    use insynth_lambda::check;
+    use insynth_lambda::{check, Ty};
     use std::collections::HashSet;
 
     fn engine() -> Engine {
@@ -580,24 +483,11 @@ mod tests {
     }
 
     #[test]
-    #[allow(deprecated)]
-    fn deprecated_synthesizer_shim_matches_the_session_api() {
-        let env = io_env();
-        let goal = Ty::base("BufferedInputStream");
-        let shim = Synthesizer::new(SynthesisConfig::default());
-        let via_shim = shim.synthesize(&env, &goal, 5);
-        let via_session = engine()
-            .prepare(&env)
-            .query(&Query::new(goal.clone()).with_n(5));
-        let render = |r: &SynthesisResult| {
-            r.snippets
-                .iter()
-                .map(|s| (s.term.to_string(), s.weight))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(render(&via_shim), render(&via_session));
-        assert!(shim.is_inhabited(&env, &goal));
-        // The shim now takes &self: two calls on one immutable binding work.
-        let _ = shim.synthesize(&env, &goal, 1);
+    fn default_config_does_not_depend_on_the_host() {
+        let render = |c: SynthesisConfig| format!("{c:?}");
+        assert_eq!(
+            render(SynthesisConfig::default()),
+            render(SynthesisConfig::default())
+        );
     }
 }

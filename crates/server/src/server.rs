@@ -509,15 +509,6 @@ impl Server {
                 "engine",
                 Json::object([
                     ("prepare_count", Json::from(engine.prepare_count)),
-                    (
-                        "sharded_prepare_count",
-                        Json::from(engine.sharded_prepare_count),
-                    ),
-                    ("sigma_shards", Json::from(engine.sigma_shards)),
-                    (
-                        "graph_build_threads",
-                        Json::from(engine.graph_build_threads),
-                    ),
                     ("graph_build_count", Json::from(engine.graph_build_count)),
                     ("cached_point_count", Json::from(engine.cached_point_count)),
                     ("cached_graph_count", Json::from(engine.cached_graph_count)),
@@ -572,13 +563,7 @@ impl Server {
             ));
             fields.push((
                 "prepare_time_us",
-                Json::object([
-                    ("total", Json::from(engine.prepare_time_ns / 1_000)),
-                    (
-                        "sharded",
-                        Json::from(engine.sharded_prepare_time_ns / 1_000),
-                    ),
-                ]),
+                Json::object([("total", Json::from(engine.prepare_time_ns / 1_000))]),
             ));
         }
         Ok(Json::object(fields))

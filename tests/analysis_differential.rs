@@ -1,17 +1,12 @@
 //! Differential tests for the static-analysis pass (`insynth_analysis`).
 //!
-//! Two contracts, each checked on random environments:
-//!
-//! * producibility — the analyzer's goal-independent producibility fixpoint
-//!   over `E_max` agrees *exactly* with the explore phase: a base type is
-//!   producible iff the pattern index proves it inhabited when every `E_max`
-//!   member is available as a goal binder. The explore pipeline never reads
-//!   the analyzer, so this is a genuine two-implementation comparison.
-//! * answer preservation — `SynthesisConfig::prune_dead_decls` (dropping
-//!   declarations the analyzer proves dead before the graph build) returns
-//!   byte-identical ranked snippets to the unpruned engine: same terms, same
-//!   raw terms, same weight bit patterns — including under negative weight
-//!   overrides, where the walk runs in its best-first fallback regime.
+//! The contract, checked on random environments: the analyzer's
+//! goal-independent producibility fixpoint over `E_max` agrees *exactly*
+//! with the explore phase — a base type is producible iff the pattern index
+//! proves it inhabited when every `E_max` member is available as a goal
+//! binder. The explore pipeline never reads the analyzer, so this is a
+//! genuine two-implementation comparison, including under negative weight
+//! overrides, where the walk runs in its best-first fallback regime.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -22,7 +17,7 @@ use proptest::prelude::*;
 use insynth::analysis::Reachability;
 use insynth::core::{
     explore, generate_patterns, DeclKind, Declaration, Engine, ExploreLimits, PreparedEnv, Query,
-    SynthesisConfig, SynthesisResult, TypeEnv, WeightConfig,
+    SynthesisConfig, TypeEnv, WeightConfig,
 };
 use insynth::intern::Symbol;
 use insynth::lambda::Ty;
@@ -54,20 +49,9 @@ fn arb_env() -> impl Strategy<Value = TypeEnv> {
     })
 }
 
-fn arb_goal() -> impl Strategy<Value = Ty> {
-    prop_oneof![
-        prop::sample::select(BASE_TYPES.to_vec()).prop_map(Ty::base),
-        (
-            prop::sample::select(BASE_TYPES.to_vec()),
-            prop::sample::select(BASE_TYPES.to_vec())
-        )
-            .prop_map(|(a, b)| Ty::fun(vec![Ty::base(a)], Ty::base(b))),
-    ]
-}
-
 /// Negative weight overrides on every third declaration: they flip the walk
-/// into the non-monotone best-first fallback but must not affect either
-/// producibility or the pruned/unpruned answer identity.
+/// into the non-monotone best-first fallback but must not affect
+/// producibility.
 fn with_negative_overrides(env: TypeEnv) -> TypeEnv {
     env.iter()
         .enumerate()
@@ -78,25 +62,6 @@ fn with_negative_overrides(env: TypeEnv) -> TypeEnv {
             } else {
                 decl
             }
-        })
-        .collect()
-}
-
-/// Byte-precise fingerprint of a query result. Search statistics are
-/// deliberately excluded: the pruned engine explores a smaller space, so its
-/// counters legitimately differ — only the *answer* must be identical.
-fn result_key(result: &SynthesisResult) -> Vec<(String, String, u64, usize, usize)> {
-    result
-        .snippets
-        .iter()
-        .map(|s| {
-            (
-                s.term.to_string(),
-                s.raw_term.to_string(),
-                s.weight.value().to_bits(),
-                s.depth,
-                s.coercions,
-            )
         })
         .collect()
 }
@@ -149,28 +114,11 @@ proptest! {
             );
         }
     }
-
-    #[test]
-    fn pruning_dead_decls_preserves_answers_byte_for_byte(
-        env in arb_env(),
-        goal in arb_goal(),
-        negative in 0u8..2,
-    ) {
-        let env = if negative == 1 { with_negative_overrides(env) } else { env };
-        let config = SynthesisConfig::unbounded().with_max_depth(3);
-        let mut pruning = config.clone();
-        pruning.prune_dead_decls = true;
-
-        let query = Query::new(goal).with_n(64);
-        let plain = Engine::new(config).prepare(&env).query(&query);
-        let pruned = Engine::new(pruning).prepare(&env).query(&query);
-        prop_assert_eq!(result_key(&pruned), result_key(&plain));
-    }
 }
 
 /// The degenerate environments the proptest generator cannot reach: the
 /// empty environment, and a one-declaration environment whose single entry
-/// is dead (pruning must cope with the everything-pruned case).
+/// is dead.
 #[test]
 fn degenerate_environments_prune_cleanly() {
     let empty: TypeEnv = Vec::<Declaration>::new().into_iter().collect();
@@ -185,24 +133,15 @@ fn degenerate_environments_prune_cleanly() {
     for env in [&empty, &dead_only] {
         let report = Engine::new(SynthesisConfig::default()).analyze(env);
         assert_eq!(report.decl_count, env.len());
-
-        let config = SynthesisConfig::unbounded().with_max_depth(3);
-        let mut pruning = config.clone();
-        pruning.prune_dead_decls = true;
-        let query = Query::new(Ty::base("A")).with_n(16);
-        let plain = Engine::new(config).prepare(env).query(&query);
-        let pruned = Engine::new(pruning).prepare(env).query(&query);
-        assert_eq!(result_key(&pruned), result_key(&plain));
-        assert!(pruned.snippets.is_empty());
     }
 
     let report = Engine::new(SynthesisConfig::default()).analyze(&dead_only);
     assert_eq!(report.dead_decls, vec![0]);
 }
 
-/// A declaration that is dead relative to the bare environment but revived
-/// by the goal's own binders must survive pruning: `f : B -> A` is unusable
-/// on its own, yet the goal `B -> A` brings a `B` into scope.
+/// A declaration that is dead relative to the bare environment can still be
+/// revived by the goal's own binders: `f : B -> A` is unusable on its own,
+/// yet the goal `B -> A` brings a `B` into scope.
 #[test]
 fn goal_binders_revive_decls_the_environment_alone_cannot_feed() {
     let env: TypeEnv = vec![Declaration::simple(
@@ -217,18 +156,14 @@ fn goal_binders_revive_decls_the_environment_alone_cannot_feed() {
     let report = Engine::new(SynthesisConfig::default()).analyze(&env);
     assert_eq!(report.dead_decls, vec![0]);
 
-    // …but the goal-directed prune keeps it, and answers match the
-    // unpruned engine exactly.
+    // …but a goal that binds a `B` still completes through it.
     let goal = Ty::fun(vec![Ty::base("B")], Ty::base("A"));
     let config = SynthesisConfig::unbounded().with_max_depth(3);
-    let mut pruning = config.clone();
-    pruning.prune_dead_decls = true;
-    let query = Query::new(goal).with_n(16);
-    let plain = Engine::new(config).prepare(&env).query(&query);
-    let pruned = Engine::new(pruning).prepare(&env).query(&query);
-    assert_eq!(result_key(&pruned), result_key(&plain));
+    let result = Engine::new(config)
+        .prepare(&env)
+        .query(&Query::new(goal).with_n(16));
     assert!(
-        !pruned.snippets.is_empty(),
+        !result.snippets.is_empty(),
         "the goal binder must revive `f`"
     );
 }

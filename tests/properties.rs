@@ -25,6 +25,8 @@
 //!   add/remove/reweight deltas including negative weight overrides (which
 //!   flip the walk into its best-first fallback), and prepares to the very
 //!   same ids whenever its removals are inert and Γ keeps its members,
+//! * argument table — a fresh and an incremental preparation both record,
+//!   per declaration, σ of each uncurried argument in order,
 //! * resumable streaming — `query(n=a)` then `query(n=a+b)` on one session
 //!   (which resumes the suspended walk, popping only the delta) answers
 //!   byte-identically to a one-shot `query(n=a+b)` on a cold engine, in both
@@ -517,6 +519,53 @@ proptest! {
         let fresh = Engine::new(config).prepare(&delta.apply(&env));
         prop_assert!(updated.prepared().identical_to(fresh.prepared()));
         prop_assert_eq!(result_key(&updated.query(&query)), result_key(&fresh.query(&query)));
+    }
+
+    #[test]
+    fn argument_table_holds_the_sigma_of_each_uncurried_argument(
+        env in arb_env(),
+        copies in vec(0usize..8, 0..4),
+        drop_mask in 0u8..16,
+        adds in vec(arb_ty(), 0..3),
+    ) {
+        use insynth::succinct::TypeStore;
+
+        // Copies repeat an earlier declaration's type, so dropping any of
+        // them is inert; the appended declarations may bring new types.
+        let weights = WeightConfig::default();
+        let originals = env.len();
+        let mut base_env = env;
+        for (i, idx) in copies.iter().enumerate() {
+            let ty = base_env.decls()[idx % originals].ty.clone();
+            base_env.push(Declaration::simple(format!("copy{i}"), ty, DeclKind::Local));
+        }
+        let kept: Vec<usize> = (0..base_env.len())
+            .filter(|&idx| idx < originals || drop_mask & (1 << (idx - originals)) == 0)
+            .collect();
+        let mut edited: TypeEnv = kept.iter().map(|&idx| base_env.decls()[idx].clone()).collect();
+        for (i, ty) in adds.into_iter().enumerate() {
+            edited.push(Declaration::simple(format!("new{i}"), ty, DeclKind::Class));
+        }
+
+        let base = PreparedEnv::prepare(&base_env, &weights);
+        prop_assert!(base.removal_is_inert(&kept));
+        let incremental = PreparedEnv::prepare_incremental(
+            &base,
+            &kept,
+            &edited,
+            &weights,
+            PreparedEnv::fingerprint_of(&edited, &weights),
+        );
+        for prepared in [PreparedEnv::prepare(&edited, &weights), incremental] {
+            let mut store = prepared.scratch();
+            for (idx, decl) in edited.iter().enumerate() {
+                let (args, _) = decl.ty.uncurry();
+                let expected: Vec<_> = args.iter().map(|a| store.sigma(a)).collect();
+                prop_assert_eq!(prepared.decl_arg_succs(idx), expected.as_slice());
+            }
+            // Each recorded id is a type the preparation itself interned.
+            prop_assert_eq!(store.scratch_ty_count(), 0);
+        }
     }
 
     #[test]
