@@ -188,8 +188,8 @@ fn session_amortization(c: &mut Criterion) {
     group.bench_function("prepare_only", |bencher| {
         bencher.iter(|| black_box(Engine::new(SynthesisConfig::default()).prepare(&env)))
     });
-    // The cross-point fast path: preparing a structurally equal environment
-    // on a warm engine is a fingerprint hash + verification, no σ.
+    // The cross-point fast path: preparing the identical environment again
+    // on a warm engine is a fingerprint hash + list comparison, no σ.
     let engine = Engine::new(SynthesisConfig::default());
     let _warm = engine.prepare(&env);
     group.bench_function("prepare_fingerprint_hit", |bencher| {

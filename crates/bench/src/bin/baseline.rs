@@ -1,6 +1,6 @@
 //! Regenerates `BENCH_BASELINE.json`: recorded reference numbers for the
 //! `env_scaling` (benches/phases.rs), `sigma_prepare` (benches/compression.rs),
-//! `session_amortization`, `cross_point`, `gent_ablation`, `genp_ablation`,
+//! `session_amortization`, `gent_ablation`, `genp_ablation`,
 //! `resume_walk`, `server_roundtrip`, `analysis` and `trace_replay`
 //! benchmark workloads.
 //!
@@ -36,13 +36,9 @@
 //!
 //! Cross-point and walk-cache entries (the content-addressing PR):
 //!
-//! * `cross_point/query_batch_4_equal_points` — a cold `query_batch` over
-//!   four structurally equal program points (clones and a permutation of
-//!   the filler-4 environment) asking one goal: with the fingerprint-keyed
-//!   engine caches this costs ~one prepare + one graph build + four walks.
-//! * `session_amortization/prepare_fingerprint_hit` — preparing a
-//!   structurally equal environment on a warm engine (hash + structural
-//!   verification, no σ).
+//! * `session_amortization/prepare_fingerprint_hit` — preparing the
+//!   identical environment again on a warm engine (hash + declaration-list
+//!   comparison, no σ).
 //! * `gent_ablation/astar_walk` is measured **warm** (the persisted
 //!   per-walk hole-goal memo and expansion cache are reused, as in a
 //!   session's repeated queries); `astar_walk_cold` clears the persisted
@@ -79,8 +75,9 @@
 //! `--check [path]` instead runs the perf smoke test CI executes on every
 //! push:
 //!
-//! 1. a **deterministic cross-point gate** — a `query_batch` over four
-//!    structurally equal program points (including a permuted copy) must
+//! 1. a **deterministic cross-point gate** — four sequential
+//!    `Engine::prepare` + `query` calls over separately cloned copies of the
+//!    filler-4 environment asking one goal (one of them with `n = 4`) must
 //!    report exactly one σ run and exactly one derivation-graph build
 //!    (`Engine::prepare_count` / `Engine::graph_build_count`); no timing
 //!    involved, so no noise;
@@ -139,7 +136,7 @@ use insynth_bench::{
 };
 use insynth_core::{
     explore, generate_patterns, generate_patterns_naive, generate_terms, generate_terms_best_first,
-    generate_terms_unindexed, Allowlist, BatchRequest, Engine, ExploreLimits, GenerateLimits,
+    generate_terms_unindexed, Allowlist, DeclFacts, Engine, ExploreLimits, GenerateLimits,
     PreparedEnv, Query, SearchSpace, Severity, SynthesisConfig, TypeEnv, WeightConfig,
 };
 use insynth_corpus::trace::{generate_trace, Trace, TraceEnvSpec, TraceGenConfig};
@@ -307,19 +304,6 @@ const ENVLINT_ALLOWLIST: &str = include_str!("../../../../envlint.allow");
 /// same scale `insynth-envlint` defaults to.
 const ENVLINT_SCALE: usize = 13_000;
 
-/// Four structurally equal program points (clones plus a declaration-order
-/// permutation of `env`) asking `goal` — the cross-point batch workload, and
-/// the input of the deterministic cross-point `--check` gate.
-fn cross_point_requests(env: &TypeEnv, goal: &Ty) -> Vec<BatchRequest> {
-    let reversed: TypeEnv = env.iter().rev().cloned().collect();
-    vec![
-        BatchRequest::new(env.clone(), Query::new(goal.clone())),
-        BatchRequest::new(reversed, Query::new(goal.clone())),
-        BatchRequest::new(env.clone(), Query::new(goal.clone())),
-        BatchRequest::new(env.clone(), Query::new(goal.clone()).with_n(4)),
-    ]
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let check = args.iter().any(|a| a == "--check");
@@ -402,7 +386,7 @@ fn main() {
         });
 
         // The cross-point fast path: the engine already holds the point, so
-        // preparing a structurally equal environment is hash + verification.
+        // preparing the identical environment is hash + list comparison.
         eprintln!("measuring session_amortization/prepare_fingerprint_hit/{env_size} …");
         let _warm = engine.prepare(&env);
         let (samples, iters, min, median, mean) = measure(10, || engine.prepare(&env));
@@ -456,32 +440,6 @@ fn main() {
             bench: "phases",
             group: "session_amortization",
             id: "query_unindexed_pipeline".to_owned(),
-            env_size,
-            samples,
-            iters_per_sample: iters,
-            min_ns: min,
-            median_ns: median,
-            mean_ns: mean,
-            growth_exponent: None,
-        });
-    }
-
-    // cross_point: a cold batch over four structurally equal program points
-    // (the workload the fingerprint-keyed engine caches exist for): one σ
-    // run, one graph build, four walks.
-    {
-        let env = phases_environment(4);
-        let env_size = env.len();
-        let goal = amortization_goal();
-        let requests = cross_point_requests(&env, &goal);
-        eprintln!("measuring cross_point/query_batch_4_equal_points/{env_size} …");
-        let (samples, iters, min, median, mean) = measure(10, || {
-            Engine::new(SynthesisConfig::default()).query_batch(&requests)
-        });
-        measurements.push(Measurement {
-            bench: "phases",
-            group: "cross_point",
-            id: "query_batch_4_equal_points".to_owned(),
             env_size,
             samples,
             iters_per_sample: iters,
@@ -738,22 +696,33 @@ fn main() {
         });
     }
 
-    // analysis: the static-analysis pass on both shipped models. The engine's
-    // analysis cache is zeroed so every iteration pays the full
-    // producibility fixpoint + diagnostics pass (the σ prepare itself is a
-    // fingerprint hit after warm-up).
+    // analysis: the static-analysis pass on both shipped models. The σ
+    // preparation and the analyzer's per-declaration facts are built once,
+    // outside the timed closure, so every iteration pays exactly the
+    // producibility fixpoint + diagnostics pass.
     for (id, env) in [
         ("analyze_figure1", phases_environment(4)),
         ("analyze_scaled13k", scaled_environment(ENVLINT_SCALE)),
     ] {
         let env_size = env.len();
-        let engine = Engine::new(SynthesisConfig {
-            analysis_cache_capacity: 0,
-            ..SynthesisConfig::default()
-        });
-        let _warm = engine.prepare(&env);
+        let weights = WeightConfig::default();
+        let prepared = PreparedEnv::prepare(&env, &weights);
+        let facts: Vec<DeclFacts> = env
+            .iter()
+            .enumerate()
+            .map(|(idx, decl)| DeclFacts {
+                name: decl.name.clone(),
+                rendered_ty: decl.ty.to_string(),
+                kind: decl.kind.to_string(),
+                succ: prepared.decl_succ[idx],
+                weight: prepared.decl_weight[idx].value(),
+            })
+            .collect();
+        let lambda_weight = weights.lambda_weight().value();
         eprintln!("measuring analysis/{id}/{env_size} …");
-        let (samples, iters, min, median, mean) = measure(10, || engine.analyze(&env));
+        let (samples, iters, min, median, mean) = measure(10, || {
+            insynth_analysis::analyze(&prepared.store, &facts, lambda_weight)
+        });
         measurements.push(Measurement {
             bench: "phases",
             group: "analysis",
@@ -829,7 +798,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, cross_point, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check runs ten gates and fails when (1) a query_batch over 4 structurally equal points stops reporting exactly 1 prepare + 1 graph build, (2) the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, (3) growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), (4) the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), (5) the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, (6) Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, (7) the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), (8) the removal-heavy variant of that trace prepares fresh more often than it opens a point or drifts from its pinned digest, (9) exploring the 51k rung under the default limits is time-truncated or processes fewer requests than an unlimited run in two consecutive windows, or (10) the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
+        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check runs ten gates and fails when (1) four sequential prepare + query calls over separately cloned equal filler-4 lists stop reporting exactly 1 prepare + 1 graph build, (2) the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, (3) growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), (4) the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), (5) the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, (6) Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, (7) the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), (8) the removal-heavy variant of that trace prepares fresh more often than it opens a point or drifts from its pinned digest, (9) exploring the 51k rung under the default limits is time-truncated or processes fewer requests than an unlimited run in two consecutive windows, or (10) the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
     );
     out.push_str(
         "  \"_measurement\": \"per-iteration nanoseconds; warm-up-calibrated samples of batched iterations, as in vendor/criterion (min/median/mean only)\",\n",
@@ -944,31 +913,35 @@ fn run_check(path: &str) -> i32 {
     let env = phases_environment(4);
     let goal = amortization_goal();
 
-    // Gate 1 — cross-point reuse, deterministic: a batch over four
-    // structurally equal program points (clones plus a declaration-order
-    // permutation) must run σ exactly once and build exactly one derivation
-    // graph. Builds are single-flight, so thread scheduling cannot affect
-    // the counts.
+    // Gate 1 — cross-point reuse, deterministic: four sequential prepares
+    // over separately cloned copies of one program point, each queried for
+    // one goal (the last with n = 4), must run σ exactly once and build
+    // exactly one derivation graph.
     let engine = Engine::new(SynthesisConfig::default());
-    let requests = cross_point_requests(&env, &goal);
-    let batched = engine.query_batch(&requests);
+    let copies = 4;
+    let answers: Vec<_> = (0..copies)
+        .map(|i| {
+            let n = if i + 1 == copies { 4 } else { 10 };
+            engine
+                .prepare(&env.clone())
+                .query(&Query::new(goal.clone()).with_n(n))
+        })
+        .collect();
     let cross_point_stats = engine.stats();
     println!(
-        "cross-point batch over {} structurally equal points: {} σ run(s), {} graph build(s) \
+        "cross-point prepares over {copies} equal copies: {} σ run(s), {} graph build(s) \
          (gate requires exactly 1 of each)",
-        requests.len(),
-        cross_point_stats.prepare_count,
-        cross_point_stats.graph_build_count,
+        cross_point_stats.prepare_count, cross_point_stats.graph_build_count,
     );
     if cross_point_stats.prepare_count != 1 || cross_point_stats.graph_build_count != 1 {
         println!(
-            "PERF REGRESSION: structurally equal program points no longer share one \
-             preparation and one derivation graph"
+            "PERF REGRESSION: equal program points no longer share one preparation and one \
+             derivation graph"
         );
         return 1;
     }
-    if batched[0].snippets.is_empty() {
-        println!("PERF REGRESSION: the cross-point batch returned no snippets");
+    if answers[0].snippets.is_empty() {
+        println!("PERF REGRESSION: the cross-point queries returned no snippets");
         return 1;
     }
 

@@ -18,7 +18,8 @@
 //!   deployment), with preparation counted once,
 //! * [`run_provers`] — the same inhabitation query handed to the two baseline
 //!   intuitionistic provers (the Imogen / fCube stand-ins),
-//! * [`report`] — Table 2 row formatting and the §7.5 summary statistics.
+//! * [`table2_header`] / [`table2_row`] / [`summarize`] — Table 2 row
+//!   formatting and the §7.5 summary statistics.
 //!
 //! # Example
 //!

@@ -77,7 +77,7 @@ pub struct GenerateLimits {
     /// `None`, depth is unbounded and only `max_steps`/`time_limit` apply.
     pub max_depth: Option<usize>,
     /// Upper bound on the number of pending partial expressions (defaults to
-    /// [`MAX_FRONTIER`]). When the frontier is full, further successors of the
+    /// two million). When the frontier is full, further successors of the
     /// current expansion are dropped and the outcome is marked truncated; the
     /// queue keeps draining, so completions already enqueued are still
     /// emitted. Configurable mainly so tests can exercise the truncation path

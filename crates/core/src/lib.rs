@@ -40,11 +40,13 @@
 //! environments**: every [`TypeEnv`] has an [`EnvFingerprint`] (an
 //! order-insensitive digest over its declaration multiset and effective
 //! weights), and the [`Engine`] keys its caches on it. [`Engine::prepare`]
-//! runs phase 1 at most once per fingerprint — structurally equal program
-//! points share one preparation — and returns a `Send + Sync` [`Session`];
-//! [`Session::query`] runs phases 2-6 for each [`Query`] without touching
-//! shared state, memoizing the derivation graphs on the engine per
-//! `(fingerprint, goal, prover budgets)` so equal points share graphs too.
+//! runs phase 1 at most once per cached declaration list — preparing the
+//! identical list again shares the preparation, while a permutation is
+//! prepared on its own, because equal-weight completions emit in declaration
+//! order — and returns a `Send + Sync` [`Session`]; [`Session::query`] runs
+//! phases 2-6 for each [`Query`] without touching shared state, memoizing
+//! the derivation graphs on the engine per `(fingerprint, goal, prover
+//! budgets)` so sessions over one point share graphs too.
 //! [`Session::update`] applies an [`EnvDelta`] (add / remove / reweight
 //! declarations) and re-prepares incrementally, re-running σ only on the
 //! appended declarations — removals of declarations whose types the rest of
@@ -52,12 +54,10 @@
 //! cached graph an append or reweight provably cannot affect —
 //! byte-identical to a fresh preparation of the edited environment. An
 //! edited [`TypeEnv`] shares every untouched declaration with the one it
-//! came from, so the edit costs what the delta costs.
-//! [`Engine::query_batch`] runs requests against several
-//! program points at once, preparing each distinct point once and fanning
-//! queries out across a thread pool. [`rcn`] is the unoptimized reference
-//! implementation of Figure 4 used as a test oracle; the [`SubtypeLattice`]
-//! turns subtype edges into coercion declarations (section 6).
+//! came from, so the edit costs what the delta costs. [`rcn`] is the
+//! unoptimized reference implementation of Figure 4 used as a test oracle;
+//! the [`SubtypeLattice`] turns subtype edges into coercion declarations
+//! (section 6).
 //!
 //! # Example
 //!
@@ -113,8 +113,6 @@ pub use insynth_analysis::{
 pub use insynth_succinct::EnvFingerprint;
 pub use prepare::PreparedEnv;
 pub use rcn::{is_inhabited_ref, rcn};
-pub use session::{
-    BatchRequest, Engine, EngineStatsSnapshot, EnvDelta, Query, Session, TermStream,
-};
+pub use session::{Engine, EngineStatsSnapshot, EnvDelta, Query, Session, TermStream};
 pub use synth::{PhaseTimings, Snippet, SynthesisConfig, SynthesisResult, SynthesisStats};
 pub use weights::{Weight, WeightConfig, WeightMode, WeightTable};

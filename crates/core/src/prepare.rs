@@ -24,8 +24,8 @@
 //! [`EnvFingerprint`] — an order-insensitive digest over its declaration
 //! multiset and effective weights — computed by [`PreparedEnv::fingerprint_of`]
 //! and stored on the prepared result. The engine keys its cross-point caches
-//! on that fingerprint, so two structurally equal program points (even with
-//! declarations collected in different orders) share one preparation.
+//! on that fingerprint, and two program points holding the identical
+//! declaration list share one preparation.
 //!
 //! # Incremental preparation
 //!

@@ -1,31 +1,31 @@
 //! The session-based query API: content-addressed program points, prepared
-//! once, queried many times, batched in parallel, and re-prepared
-//! incrementally when the user edits.
+//! once, queried many times, and re-prepared incrementally when the user
+//! edits.
 //!
 //! The paper's interactive deployment (§7.5) answers many completion queries
 //! against the same program point — and, across edits, against program points
-//! that are *slightly changed* or *structurally identical* versions of one
-//! another. This module makes environment identity first-class:
+//! that are *slightly changed* or *identical* versions of one another. This
+//! module makes environment identity first-class:
 //!
 //! * [`Engine`] — immutable configuration holder plus the engine-level
 //!   caches (`Send + Sync`, cheap to clone — clones share the caches).
 //! * Every environment has an [`EnvFingerprint`]: an order-insensitive
 //!   content address over its declaration multiset and effective weights
 //!   (see [`PreparedEnv::fingerprint_of`]). [`Engine::prepare`] keys its
-//!   prepared-point cache on it, so preparing a structurally equal
-//!   environment — byte-equal or merely a permutation — reuses the existing
-//!   σ-lowering instead of re-running it. Fingerprint hits are verified
-//!   structurally before anything is shared; a hash collision degrades to an
-//!   uncached preparation, never to wrong results.
+//!   prepared-point cache on it, and shares a cached point only with a
+//!   request for the *identical* declaration list. Equal-weight completions
+//!   emit in declaration order, so a permutation is a different answer: it
+//!   is prepared and queried privately, exactly as a fresh engine would, and
+//!   a hash collision likewise degrades to an uncached preparation.
 //! * [`Session`] — one *prepared* program point: [`Engine::prepare`] lowers a
-//!   [`TypeEnv`] through σ at most once per fingerprint and freezes the
-//!   result. A session is `Send + Sync`; wrap it in an `Arc` and serve
-//!   queries from as many threads as you like.
+//!   [`TypeEnv`] through σ at most once per cached declaration list and
+//!   freezes the result. A session is `Send + Sync`; wrap it in an `Arc` and
+//!   serve queries from as many threads as you like.
 //! * [`Query`] — a builder-style request: goal type, `N`, and optional
-//!   per-query overrides of the engine's budgets, depth bound and weights.
+//!   per-query overrides of the engine's budgets and depth bound.
 //! * The **artifact cache** — derivation graphs (with their A* heuristics)
 //!   are cached on the *engine*, keyed `(environment fingerprint, goal,
-//!   prover budgets)`, so structurally equal program points share graphs no
+//!   prover budgets)`, so sessions over one program point share graphs no
 //!   matter which session queried first. Builds are single-flight: any
 //!   number of concurrent queries for one key perform exactly one build.
 //! * [`Session::update`] — the edit-time delta path: apply an [`EnvDelta`]
@@ -36,11 +36,6 @@
 //!   re-run σ only on the appended declarations; appends and reweights also
 //!   carry over every cached graph the change provably cannot affect. Other
 //!   removals and oversized deltas fall back to a fresh preparation.
-//! * [`Engine::query_batch`] — many `(environment, query)` requests at once:
-//!   requests are grouped by fingerprint (structural equality verified),
-//!   each distinct point is prepared once, and the queries fan out across a
-//!   scoped thread pool. Results come back in input order and are identical
-//!   to running every query sequentially.
 //!
 //! # Example
 //!
@@ -71,7 +66,7 @@
 //! let result = edited.query(&Query::new(Ty::base("File")).with_n(5));
 //! assert_eq!(result.snippets[1].term.to_string(), "mkFile(path)");
 //!
-//! // Preparing a structurally equal point again is a fingerprint cache hit.
+//! // Preparing the same declaration list again is a point-cache hit.
 //! let again = engine.prepare(&env);
 //! assert_eq!(again.fingerprint(), session.fingerprint());
 //! assert_eq!(engine.prepare_count(), 2); // env + edited env, not 3
@@ -80,8 +75,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use std::thread;
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::{Duration, Instant};
 
 use insynth_analysis::{analyze, AnalysisReport, DeclFacts};
@@ -96,7 +90,6 @@ use crate::gent::{CancelToken, GenerateLimits, RankedTerm};
 use crate::graph::{lock_recovering, DerivationGraph, WalkState};
 use crate::prepare::PreparedEnv;
 use crate::synth::{PhaseTimings, Snippet, SynthesisConfig, SynthesisResult, SynthesisStats};
-use crate::weights::WeightConfig;
 
 /// The immutable synthesis engine: configuration plus the engine-level
 /// caches of prepared program points and derivation graphs.
@@ -104,9 +97,8 @@ use crate::weights::WeightConfig;
 /// `Engine` is `Send + Sync`; one instance can serve every thread of a
 /// deployment. Cloning is cheap and clones **share the caches** — a cloned
 /// engine is another handle onto the same content-addressed state, which is
-/// what lets [`Engine::query_batch`] and independent [`Engine::prepare`]
-/// calls reuse each other's work. Engines created with [`Engine::new`] start
-/// with fresh, empty caches.
+/// what lets independent [`Engine::prepare`] calls reuse each other's work.
+/// Engines created with [`Engine::new`] start with fresh, empty caches.
 #[derive(Debug, Clone)]
 pub struct Engine {
     config: SynthesisConfig,
@@ -116,8 +108,9 @@ pub struct Engine {
 /// One coherent snapshot of the engine's counters and cache sizes, as
 /// returned by [`Engine::stats`].
 ///
-/// The two work counters are cumulative over the engine's lifetime (shared
-/// across clones); the three sizes are instantaneous. Comparing snapshots
+/// The five cumulative fields (σ runs, incremental σ runs, σ time, graph
+/// builds and analyses) count over the engine's lifetime (shared across
+/// clones); the three cache sizes are instantaneous. Comparing snapshots
 /// taken before and after a workload gives the cache economics of exactly
 /// that workload: `prepare` calls minus the `prepare_count` delta is the
 /// point-cache hit count, and likewise for graph builds.
@@ -139,13 +132,11 @@ pub struct EngineStatsSnapshot {
     pub cached_graph_count: usize,
     /// Suspended walk states currently parked across the cached graphs.
     pub suspended_walk_count: usize,
-    /// Environment analyses performed ([`Engine::analyze`] cache misses);
-    /// the difference between `analyze` calls issued and this count is the
-    /// analysis cache's hit count.
+    /// Environment analyses performed: [`Session::analyze`] runs the
+    /// analysis once per prepared point, so the difference between `analyze`
+    /// calls issued and this count is the number answered from a point that
+    /// was already analyzed.
     pub analysis_count: usize,
-    /// Analysis reports currently cached (bounded by
-    /// [`SynthesisConfig::analysis_cache_capacity`]).
-    pub cached_analysis_count: usize,
 }
 
 impl Default for Engine {
@@ -169,9 +160,10 @@ impl Engine {
     }
 
     /// The content address this engine assigns to `env` (under the engine's
-    /// weight configuration). Structurally equal environments — the same
-    /// declaration multiset, in any order — fingerprint identically and
-    /// share one preparation and one derivation-graph cache line.
+    /// weight configuration). The digest ignores declaration order, so a
+    /// permutation fingerprints identically; it is the key of the engine's
+    /// caches, but only the identical declaration list shares what they
+    /// hold (see [`Engine::prepare`]).
     pub fn fingerprint(&self, env: &TypeEnv) -> EnvFingerprint {
         PreparedEnv::fingerprint_of(env, &self.config.weights)
     }
@@ -179,27 +171,17 @@ impl Engine {
     /// Lowers `env` into succinct form, returning a reusable, shareable
     /// [`Session`] for that program point.
     ///
-    /// Content-addressed: if a structurally equal environment (equal
-    /// [`EnvFingerprint`], verified declaration-for-declaration) was prepared
+    /// Content-addressed: if the identical declaration list was prepared
     /// before and is still cached, the existing preparation is shared and σ
-    /// does not run again. The session's [`Session::env`] then refers to the
-    /// *canonical* declaration list — the one first prepared — so structurally
-    /// equal points answer byte-identically no matter the declaration order
-    /// they were collected in.
+    /// does not run again. Any other list — a permutation with the same
+    /// [`EnvFingerprint`] included — is prepared (and its graphs built)
+    /// privately, so every session answers exactly as a fresh engine would on
+    /// the list it was given: equal-weight ties emit in declaration order.
     pub fn prepare(&self, env: &TypeEnv) -> Session {
-        self.prepare_fingerprinted(env, self.fingerprint(env))
-    }
-
-    /// [`Engine::prepare`] with the environment's fingerprint already in
-    /// hand ([`Engine::query_batch`] hashes every request up front for
-    /// grouping; re-hashing per prepared group would waste that work).
-    fn prepare_fingerprinted(&self, env: &TypeEnv, fingerprint: EnvFingerprint) -> Session {
+        let fingerprint = self.fingerprint(env);
         let capacity = self.config.point_cache_capacity;
         if capacity > 0 {
-            if let Some(point) = self
-                .cache
-                .lookup_point(fingerprint, env, PointMatch::Canonical)
-            {
+            if let Some(point) = self.cache.lookup_point(fingerprint, env) {
                 return self.session_for(point);
             }
         }
@@ -213,14 +195,9 @@ impl Engine {
         // the quantity queries amortize — not the bookkeeping copies below.
         let prepare_time = started.elapsed();
         self.cache.record_prepare(false, prepare_time);
-        let point = Arc::new(PreparedPoint {
-            env: env.clone(),
-            prepared,
-            prepare_time,
-        });
+        let point = Arc::new(PreparedPoint::new(env.clone(), prepared, prepare_time));
         let point = if capacity > 0 {
-            self.cache
-                .insert_point(point, capacity, PointMatch::Canonical)
+            self.cache.insert_point(point, capacity)
         } else {
             point
         };
@@ -245,8 +222,8 @@ impl Engine {
     }
 
     /// Number of derivation-graph builds across every session this engine
-    /// prepared. With warm caches, a batch over N structurally equal points
-    /// asking one goal performs exactly one build.
+    /// prepared. With warm caches, N sessions over one declaration list
+    /// asking one goal perform exactly one build.
     pub fn graph_build_count(&self) -> usize {
         self.cache.graph_builds.load(Ordering::Relaxed)
     }
@@ -258,8 +235,8 @@ impl Engine {
     }
 
     /// Number of suspended walk states currently parked across the engine's
-    /// cached graphs (each graph bounds its own set by
-    /// [`SynthesisConfig::suspended_walk_capacity`]).
+    /// cached graphs (each graph parks at most four, least recently parked
+    /// evicted first).
     pub fn suspended_walk_count(&self) -> usize {
         self.cache
             .read_graphs()
@@ -281,26 +258,19 @@ impl Engine {
     /// ambiguous overload groups, duplicates and weight anomalies — see
     /// [`insynth_analysis::analyze`] for the diagnostic semantics.
     ///
-    /// Reports are cached by environment fingerprint alongside the point
-    /// cache (bounded by [`SynthesisConfig::analysis_cache_capacity`]), so
-    /// re-analyzing an unchanged environment is a lookup. The diagnostics
-    /// are deterministic: equal environments yield byte-equal reports on
-    /// every run.
+    /// The report lives on the prepared point, so re-analyzing a declaration
+    /// list the point cache still holds is a lookup. The diagnostics are
+    /// deterministic: equal environments yield byte-equal reports on every
+    /// run.
     pub fn analyze(&self, env: &TypeEnv) -> Arc<AnalysisReport> {
         self.prepare(env).analyze()
     }
 
     /// Number of environment analyses this engine (and its clones) actually
     /// performed; the difference between [`Engine::analyze`] calls issued
-    /// and this count is the analysis cache's hit count.
+    /// and this count is the number answered from an analyzed point.
     pub fn analysis_count(&self) -> usize {
         self.cache.analyses_run.load(Ordering::Relaxed)
-    }
-
-    /// Number of analysis reports currently cached (bounded by
-    /// [`SynthesisConfig::analysis_cache_capacity`]).
-    pub fn cached_analysis_count(&self) -> usize {
-        self.cache.read_analyses().len()
     }
 
     /// One coherent snapshot of every engine-level counter and cache size.
@@ -322,7 +292,6 @@ impl Engine {
             cached_graph_count: self.cached_graph_count(),
             suspended_walk_count: self.suspended_walk_count(),
             analysis_count: self.analysis_count(),
-            cached_analysis_count: self.cached_analysis_count(),
         }
     }
 
@@ -335,149 +304,6 @@ impl Engine {
                 artifacts.clear_suspended();
             }
         }
-    }
-
-    /// Runs a batch of requests, possibly spanning several program points.
-    ///
-    /// Requests are grouped by environment fingerprint (with structural
-    /// verification, so a permuted-but-equal environment joins the group of
-    /// its canonical form when the point cache is enabled), each distinct
-    /// point is prepared exactly once, and the queries fan out across a
-    /// scoped thread pool sized to the machine. The result vector is in
-    /// input order, and every entry is identical to what a sequential
-    /// [`Session::query`] against that request's environment would return
-    /// from the engine's caches in their pre-batch state — scheduling never
-    /// affects results.
-    ///
-    /// As everywhere on the canonicalizing path, the emission order of
-    /// *equal-weight* snippets for structurally equal environments follows
-    /// the canonical (first-prepared) declaration order; if the point cache
-    /// is sized below the number of distinct points in flight, which
-    /// ordering is canonical can depend on eviction timing. Size
-    /// [`SynthesisConfig::point_cache_capacity`] above the working set (or
-    /// disable it, which makes both this grouping and every sequential
-    /// prepare exact-order) if that tie order matters.
-    pub fn query_batch(&self, requests: &[BatchRequest]) -> Vec<SynthesisResult> {
-        if requests.is_empty() {
-            return Vec::new();
-        }
-
-        let fingerprints: Vec<EnvFingerprint> = requests
-            .iter()
-            .map(|request| self.fingerprint(&request.env))
-            .collect();
-        // Group request indices by structurally equal environments: the
-        // fingerprint pre-filters, the declaration comparison confirms (so a
-        // fingerprint collision can only ever split a group, never merge
-        // unequal points). Grouping permutations together is only sound
-        // while the point cache canonicalizes — a sequential query would
-        // resolve to the same canonical point and order its equal-weight
-        // ties identically. With the point cache disabled, a sequential
-        // query prepares the request's own declaration order, so the batch
-        // must group exactly to keep its sequential-equivalence promise.
-        let matching = if self.config.point_cache_capacity > 0 {
-            PointMatch::Canonical
-        } else {
-            PointMatch::Exact
-        };
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (idx, request) in requests.iter().enumerate() {
-            match groups.iter_mut().find(|(rep, _)| {
-                fingerprints[*rep] == fingerprints[idx]
-                    && matching.accepts(&requests[*rep].env, &request.env)
-            }) {
-                Some((_, members)) => members.push(idx),
-                None => groups.push((idx, vec![idx])),
-            }
-        }
-
-        let workers = thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(4);
-
-        // Stage 1: prepare one session per distinct program point, in
-        // parallel (σ-lowering dominates batch cost for large environments).
-        let sessions: Vec<Session> = run_indexed(groups.len(), workers, |g| {
-            let rep = groups[g].0;
-            self.prepare_fingerprinted(&requests[rep].env, fingerprints[rep])
-        });
-
-        let mut session_of = vec![0usize; requests.len()];
-        for (g, (_, members)) in groups.iter().enumerate() {
-            for &idx in members {
-                session_of[idx] = g;
-            }
-        }
-
-        // Stage 2: fan the queries out; each worker writes only its own
-        // input-indexed slot, so the output order is deterministic.
-        run_indexed(requests.len(), workers, |idx| {
-            sessions[session_of[idx]].query(&requests[idx].query)
-        })
-    }
-}
-
-/// Runs `f(0..count)` on up to `workers` scoped threads and returns the
-/// results in index order.
-fn run_indexed<T, F>(count: usize, workers: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    if count == 0 {
-        return Vec::new();
-    }
-    let threads = workers.min(count).max(1);
-    if threads == 1 {
-        return (0..count).map(f).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, T)>();
-    let mut slots: Vec<Option<T>> = (0..count).map(|_| None).collect();
-    // Unwrap the slots only after the scope has joined every worker: if a
-    // worker panicked, the scope re-raises that panic here and the caller
-    // sees the real failure, not a missing-slot assertion.
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            let tx = tx.clone();
-            let next = &next;
-            let f = &f;
-            scope.spawn(move || loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                if idx >= count {
-                    break;
-                }
-                if tx.send((idx, f(idx))).is_err() {
-                    break;
-                }
-            });
-        }
-        drop(tx);
-
-        for (idx, value) in rx {
-            slots[idx] = Some(value);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|slot| slot.expect("every index is produced exactly once"))
-        .collect()
-}
-
-/// One request of a batch: a program point plus the query to answer there.
-#[derive(Debug, Clone)]
-pub struct BatchRequest {
-    /// The declarations visible at the program point.
-    pub env: TypeEnv,
-    /// The query to run against that point.
-    pub query: Query,
-}
-
-impl BatchRequest {
-    /// Pairs a program point with a query.
-    pub fn new(env: TypeEnv, query: Query) -> Self {
-        BatchRequest { env, query }
     }
 }
 
@@ -612,7 +438,6 @@ impl EnvDelta {
 pub struct Query {
     goal: Ty,
     n: usize,
-    weights: Option<WeightConfig>,
     prover_time_limit: Option<Option<Duration>>,
     reconstruction_time_limit: Option<Option<Duration>>,
     max_explore_requests: Option<usize>,
@@ -629,7 +454,6 @@ impl Query {
         Query {
             goal,
             n: 10,
-            weights: None,
             prover_time_limit: None,
             reconstruction_time_limit: None,
             max_explore_requests: None,
@@ -653,17 +477,6 @@ impl Query {
     /// Sets the number of snippets to return (the paper's `N`).
     pub fn with_n(mut self, n: usize) -> Self {
         self.n = n;
-        self
-    }
-
-    /// Overrides the weight configuration for this query only.
-    ///
-    /// Per-type weights are baked into the prepared environment, so a query
-    /// whose weights differ from the session's re-prepares internally — this
-    /// is the slow path, meant for occasional ablation queries. Batches of
-    /// same-weight queries should use differently configured engines instead.
-    pub fn with_weights(mut self, weights: WeightConfig) -> Self {
-        self.weights = Some(weights);
         self
     }
 
@@ -723,8 +536,9 @@ impl Query {
 
     /// The session configuration with this query's overrides applied.
     fn effective_config(&self, base: &SynthesisConfig) -> SynthesisConfig {
+        // The weights (baked into the prepared point) and the cache bounds
+        // are engine-level; a query cannot override them.
         SynthesisConfig {
-            weights: self.weights.clone().unwrap_or_else(|| base.weights.clone()),
             prover_time_limit: self.prover_time_limit.unwrap_or(base.prover_time_limit),
             reconstruction_time_limit: self
                 .reconstruction_time_limit
@@ -737,24 +551,33 @@ impl Query {
                 .unwrap_or(base.max_reconstruction_steps),
             max_depth: self.max_depth.unwrap_or(base.max_depth),
             erase_coercions: self.erase_coercions.unwrap_or(base.erase_coercions),
-            // Engine-level knobs; queries cannot override the cache bounds.
-            graph_cache_capacity: base.graph_cache_capacity,
-            point_cache_capacity: base.point_cache_capacity,
-            suspended_walk_capacity: base.suspended_walk_capacity,
-            analysis_cache_capacity: base.analysis_cache_capacity,
+            ..base.clone()
         }
     }
 }
 
 /// One prepared program point, shared by every session that addresses it:
-/// the canonical declaration list (the one first prepared — structurally
-/// equal environments resolve to it), the σ-lowered environment, and the σ
-/// cost that was paid for it.
+/// the declaration list, the σ-lowered environment, the σ cost that was paid
+/// for it, and its environment analysis once one was asked for.
 #[derive(Debug)]
 pub(crate) struct PreparedPoint {
     env: TypeEnv,
     prepared: Arc<PreparedEnv>,
     prepare_time: Duration,
+    /// The [`Session::analyze`] report, computed at most once per point. Its
+    /// diagnostic indices resolve against `env`.
+    analysis: OnceLock<Arc<AnalysisReport>>,
+}
+
+impl PreparedPoint {
+    fn new(env: TypeEnv, prepared: Arc<PreparedEnv>, prepare_time: Duration) -> Self {
+        PreparedPoint {
+            env,
+            prepared,
+            prepare_time,
+            analysis: OnceLock::new(),
+        }
+    }
 }
 
 /// The inputs that determine a derivation graph: the program point's
@@ -808,17 +631,20 @@ pub(crate) struct QueryArtifacts {
     suspended: Mutex<SuspendedWalks>,
 }
 
+/// How many suspended walks one cached graph parks at most; the least
+/// recently parked is evicted first.
+const SUSPENDED_WALK_CAPACITY: usize = 4;
+
 /// The suspended walks parked on one cached graph, keyed by the
 /// reconstruction budgets that shaped their trajectories, with a local LRU
 /// clock. Together with the artifact cache's own key this realises the full
-/// `(fingerprint, goal, budgets, overrides)` resume key: artifacts are
-/// already cached per `(fingerprint, goal, explore budgets)`, and
-/// weight-override queries run against private artifacts, so a walk can
-/// never be resumed across differing weights.
+/// `(fingerprint, goal, budgets)` resume key: artifacts are already cached
+/// per `(fingerprint, goal, explore budgets)`, and the weights are fixed per
+/// engine, so a walk can never be resumed across differing weights.
 #[derive(Default)]
 struct SuspendedWalks {
     clock: u64,
-    walks: HashMap<StreamKey, (u64, WalkState)>,
+    walks: HashMap<StreamKey, Stamped<WalkState>>,
 }
 
 impl fmt::Debug for SuspendedWalks {
@@ -860,32 +686,22 @@ impl QueryArtifacts {
         lock_recovering(&self.suspended)
             .walks
             .remove(key)
-            .map(|(_, state)| state)
+            .map(|parked| parked.value)
     }
 
     /// Parks (checks in) a suspended walk under `key`, evicting the least
-    /// recently parked walks beyond `capacity`. Callers must withhold
-    /// wall-clock-truncated states — those may have lost a partially
+    /// recently parked walks beyond [`SUSPENDED_WALK_CAPACITY`]. Callers must
+    /// withhold wall-clock-truncated states — those may have lost a partially
     /// expanded frontier entry and are not safe to resume.
-    fn checkin_walk(&self, key: StreamKey, state: WalkState, capacity: usize) {
-        if capacity == 0 {
-            return;
-        }
+    fn checkin_walk(&self, key: StreamKey, state: WalkState) {
         let mut suspended = lock_recovering(&self.suspended);
         suspended.clock += 1;
-        let stamp = suspended.clock;
-        suspended.walks.insert(key, (stamp, state));
-        while suspended.walks.len() > capacity {
-            let victim = suspended
-                .walks
-                .iter()
-                .min_by_key(|(_, (stamp, _))| *stamp)
-                .map(|(key, _)| key.clone());
-            match victim {
-                Some(key) => suspended.walks.remove(&key),
-                None => break,
-            };
-        }
+        let parked = Stamped {
+            value: state,
+            last_used: AtomicU64::new(suspended.clock),
+        };
+        suspended.walks.insert(key, parked);
+        evict_lru(&mut suspended.walks, SUSPENDED_WALK_CAPACITY);
     }
 
     fn clear_suspended(&self) {
@@ -911,9 +727,9 @@ type GraphCell = Arc<OnceLock<Arc<QueryArtifacts>>>;
 
 /// A cached derivation-graph slot: the build cell plus the prepared point
 /// this cache line serves. Every lookup verifies its session's point against
-/// it (pointer-fast for sessions sharing the point, structurally otherwise),
-/// so a graph whose `Head::Decl` indices were resolved against one
-/// declaration order can never be rendered through another — and a
+/// it (pointer-fast for sessions sharing the point, by list equality
+/// otherwise), so a graph whose `Head::Decl` indices were resolved against
+/// one declaration order can never be rendered through another — and a
 /// fingerprint collision degrades to a private, uncached build.
 #[derive(Debug)]
 struct GraphSlot {
@@ -921,46 +737,8 @@ struct GraphSlot {
     point: Arc<PreparedPoint>,
 }
 
-/// A cached environment analysis: the report plus the prepared point it was
-/// computed over. Lookups verify their point against it (pointer-fast for
-/// sessions sharing the canonical point, structural otherwise) because the
-/// report's diagnostic `decls` indices resolve against *that* point's
-/// declaration order — a fingerprint collision, or a permuted twin prepared
-/// past the point cache, must recompute rather than share.
-#[derive(Debug)]
-struct AnalysisSlot {
-    point: Arc<PreparedPoint>,
-    report: Arc<AnalysisReport>,
-}
-
 type PointMap = HashMap<EnvFingerprint, Stamped<Arc<PreparedPoint>>>;
 type GraphMap = HashMap<ArtifactKey, Stamped<GraphSlot>>;
-type AnalysisMap = HashMap<EnvFingerprint, Stamped<AnalysisSlot>>;
-
-/// How a point-cache lookup decides whether a cached environment may stand
-/// in for the requested one.
-#[derive(Clone, Copy)]
-enum PointMatch {
-    /// Same declaration multiset, any order — the requested point resolves
-    /// to the cached canonical representative. Correct wherever the caller's
-    /// contract is "structurally equal points answer identically (in the
-    /// canonical order)", i.e. [`Engine::prepare`].
-    Canonical,
-    /// The identical declaration list. Required wherever the caller promises
-    /// byte-identity with a fresh preparation of a *specific* list —
-    /// [`Session::update`] — because equal-weight ties emit in declaration
-    /// order, so a permutation is observably different there.
-    Exact,
-}
-
-impl PointMatch {
-    fn accepts(self, cached: &TypeEnv, requested: &TypeEnv) -> bool {
-        match self {
-            PointMatch::Canonical => envs_equivalent(cached, requested),
-            PointMatch::Exact => cached == requested,
-        }
-    }
-}
 
 /// Evicts least-recently-used entries until `map` fits `capacity`. The entry
 /// a caller just stamped carries the newest stamp, so it is never the victim.
@@ -995,9 +773,6 @@ fn evict_lru<K: Clone + Eq + std::hash::Hash, T>(
 pub(crate) struct ArtifactCache {
     points: RwLock<PointMap>,
     graphs: RwLock<GraphMap>,
-    /// Environment analyses keyed by fingerprint, LRU-bounded by
-    /// [`SynthesisConfig::analysis_cache_capacity`].
-    analyses: RwLock<AnalysisMap>,
     /// Monotone stamp source for both caches' LRU recency ordering.
     clock: AtomicU64,
     /// σ-lowering runs (full and incremental preparations).
@@ -1008,7 +783,7 @@ pub(crate) struct ArtifactCache {
     prepare_time_ns: AtomicU64,
     /// Derivation-graph builds across every session of the engine.
     graph_builds: AtomicUsize,
-    /// Environment analyses performed (analysis-cache misses).
+    /// Environment analyses performed (at most one per prepared point).
     analyses_run: AtomicUsize,
 }
 
@@ -1017,7 +792,6 @@ impl ArtifactCache {
         ArtifactCache {
             points: RwLock::new(HashMap::new()),
             graphs: RwLock::new(HashMap::new()),
-            analyses: RwLock::new(HashMap::new()),
             clock: AtomicU64::new(0),
             prepares: AtomicUsize::new(0),
             incremental_prepares: AtomicUsize::new(0),
@@ -1061,106 +835,34 @@ impl ArtifactCache {
         self.graphs.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    fn read_analyses(&self) -> RwLockReadGuard<'_, AnalysisMap> {
-        self.analyses.read().unwrap_or_else(|e| e.into_inner())
-    }
-
-    fn write_analyses(&self) -> RwLockWriteGuard<'_, AnalysisMap> {
-        self.analyses.write().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Looks up a cached analysis report for `point`'s fingerprint, sharing
-    /// it only when the cached slot was computed over the same declaration
-    /// list (the report's diagnostic indices resolve against it).
-    fn lookup_analysis(&self, point: &Arc<PreparedPoint>) -> Option<Arc<AnalysisReport>> {
-        let analyses = self.read_analyses();
-        let entry = analyses.get(&point.prepared.fingerprint)?;
-        let slot = &entry.value;
-        if !Arc::ptr_eq(&slot.point, point) && slot.point.env != point.env {
-            return None;
-        }
-        entry.last_used.store(self.stamp(), Ordering::Relaxed);
-        Some(Arc::clone(&slot.report))
-    }
-
-    /// Inserts a freshly computed analysis, adopting a matching entry another
-    /// thread raced in first and evicting least-recently-used reports beyond
-    /// `capacity`. A non-matching occupant (fingerprint collision) is left
-    /// alone and the caller's report is returned uncached.
-    fn insert_analysis(
-        &self,
-        point: &Arc<PreparedPoint>,
-        report: Arc<AnalysisReport>,
-        capacity: usize,
-    ) -> Arc<AnalysisReport> {
-        let mut analyses = self.write_analyses();
-        let stamp = self.stamp();
-        match analyses.entry(point.prepared.fingerprint) {
-            std::collections::hash_map::Entry::Occupied(entry) => {
-                let slot = &entry.get().value;
-                return if Arc::ptr_eq(&slot.point, point) || slot.point.env == point.env {
-                    entry.get().last_used.store(stamp, Ordering::Relaxed);
-                    Arc::clone(&slot.report)
-                } else {
-                    report
-                };
-            }
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(Stamped {
-                    value: AnalysisSlot {
-                        point: Arc::clone(point),
-                        report: Arc::clone(&report),
-                    },
-                    last_used: AtomicU64::new(stamp),
-                });
-            }
-        }
-        evict_lru(&mut analyses, capacity);
-        report
-    }
-
-    /// Looks up a prepared point by fingerprint, verifying the stored
-    /// environment matches `env` before sharing it. [`PointMatch::Canonical`]
-    /// accepts any declaration order (the cross-point feature:
-    /// [`Engine::prepare`] resolves permutations to the canonical
-    /// representative); [`PointMatch::Exact`] requires the identical
-    /// declaration list — the mode [`Session::update`] uses, whose contract
-    /// is byte-identity with a fresh preparation of the edited list, and
-    /// weight-*tie* emission order follows declaration order.
+    /// Looks up a prepared point by fingerprint, sharing it only when it
+    /// holds the identical declaration list: equal-weight ties emit in
+    /// declaration order, so a permutation answers differently, and a
+    /// fingerprint collision must never share either.
     fn lookup_point(
         &self,
         fingerprint: EnvFingerprint,
         env: &TypeEnv,
-        matching: PointMatch,
     ) -> Option<Arc<PreparedPoint>> {
         let points = self.read_points();
         let entry = points.get(&fingerprint)?;
-        if !matching.accepts(&entry.value.env, env) {
-            // A different declaration order in Exact mode, or a fingerprint
-            // collision between unequal environments: never share across it
-            // (the caller prepares fresh).
+        if entry.value.env != *env {
             return None;
         }
         entry.last_used.store(self.stamp(), Ordering::Relaxed);
         Some(Arc::clone(&entry.value))
     }
 
-    /// Inserts a freshly prepared point, adopting a matching entry another
-    /// thread raced in first (keeping the cache canonical), and evicting the
-    /// least recently used points beyond `capacity`. A non-matching occupant
-    /// (collision, or a permutation in Exact mode) is left alone and the
-    /// caller's point is returned uncached.
-    fn insert_point(
-        &self,
-        point: Arc<PreparedPoint>,
-        capacity: usize,
-        matching: PointMatch,
-    ) -> Arc<PreparedPoint> {
+    /// Inserts a freshly prepared point, adopting an identical entry another
+    /// thread raced in first, and evicting the least recently used points
+    /// beyond `capacity`. A different occupant (a permutation or a
+    /// collision) is left alone and the caller's point is returned uncached.
+    fn insert_point(&self, point: Arc<PreparedPoint>, capacity: usize) -> Arc<PreparedPoint> {
         let mut points = self.write_points();
         let stamp = self.stamp();
         match points.entry(point.prepared.fingerprint) {
             std::collections::hash_map::Entry::Occupied(entry) => {
-                return if matching.accepts(&entry.get().value.env, &point.env) {
+                return if entry.get().value.env == point.env {
                     entry.get().last_used.store(stamp, Ordering::Relaxed);
                     Arc::clone(&entry.get().value)
                 } else {
@@ -1192,11 +894,11 @@ impl ArtifactCache {
         point: &Arc<PreparedPoint>,
         capacity: usize,
     ) -> Option<GraphCell> {
-        // Pointer equality covers every session sharing the cached canonical
-        // point (the common case); the fallback comparison is *exact* — a
-        // permuted-but-equal environment emits equal-weight ties in a
-        // different order, so sharing its graphs would leak the other
-        // ordering into this session's results.
+        // Pointer equality covers every session sharing the cached point
+        // (the common case); the fallback comparison is *exact* — a permuted
+        // environment emits equal-weight ties in a different order, so
+        // sharing its graphs would leak the other ordering into this
+        // session's results.
         let serves =
             |slot: &GraphSlot| Arc::ptr_eq(&slot.point, point) || slot.point.env == point.env;
         if let Some(entry) = self.read_graphs().get(&key) {
@@ -1286,41 +988,6 @@ impl ArtifactCache {
     }
 }
 
-/// Total order over declarations by content (name, type, kind, frequency,
-/// weight-override bits) — the canonicalization behind the multiset
-/// comparison. Borrows only; a fingerprint verification must stay cheap
-/// next to the σ run it saves.
-fn decl_content_cmp(a: &Declaration, b: &Declaration) -> std::cmp::Ordering {
-    a.name
-        .cmp(&b.name)
-        .then_with(|| a.ty.cmp(&b.ty))
-        .then_with(|| a.kind.cmp(&b.kind))
-        .then_with(|| a.frequency.cmp(&b.frequency))
-        .then_with(|| {
-            a.weight_override
-                .map(f64::to_bits)
-                .cmp(&b.weight_override.map(f64::to_bits))
-        })
-}
-
-/// Structural (multiset) equality of two environments: the same declarations
-/// with the same names, types, kinds, frequencies and overrides, in any
-/// order. This is the verification behind every fingerprint cache hit.
-fn envs_equivalent(a: &TypeEnv, b: &TypeEnv) -> bool {
-    if a.len() != b.len() {
-        return false;
-    }
-    fn sorted(env: &TypeEnv) -> Vec<&Declaration> {
-        let mut refs: Vec<&Declaration> = env.iter().collect();
-        refs.sort_by(|x, y| decl_content_cmp(x, y));
-        refs
-    }
-    sorted(a)
-        .into_iter()
-        .zip(sorted(b))
-        .all(|(x, y)| decl_content_cmp(x, y) == std::cmp::Ordering::Equal)
-}
-
 /// One prepared program point: the σ-lowered environment plus the engine
 /// configuration it was prepared under.
 ///
@@ -1329,8 +996,8 @@ fn envs_equivalent(a: &TypeEnv, b: &TypeEnv) -> bool {
 /// sets, newly interned types) in per-query scratch space, so an
 /// `Arc<Session>` can answer queries from many threads concurrently.
 ///
-/// Sessions addressing structurally equal environments — prepared through
-/// one [`Engine`] (or its clones) — share the prepared point *and* the
+/// Sessions addressing the identical declaration list — prepared through one
+/// [`Engine`] (or its clones) — share the prepared point *and* the
 /// derivation-graph cache: the first query for a goal builds the graph (and
 /// its A* completion bounds), every later query for it, from any such
 /// session, goes straight to reconstruction. Builds are single-flight, so
@@ -1358,15 +1025,14 @@ pub struct Session {
     config: SynthesisConfig,
     cache: Arc<ArtifactCache>,
     /// Number of derivation-graph builds this session has performed (cache
-    /// misses, non-cacheable truncated builds, and weight-override queries).
+    /// misses and non-cacheable builds).
     graph_builds: AtomicUsize,
 }
 
 impl Session {
-    /// The canonical declaration list of this session's program point. When
-    /// the point was served from the fingerprint cache this is the list first
-    /// prepared — structurally equal to (but possibly a permutation of) the
-    /// environment passed to [`Engine::prepare`].
+    /// The declaration list of this session's program point: equal,
+    /// declaration for declaration and in order, to the environment passed to
+    /// [`Engine::prepare`] (or produced by [`Session::update`]).
     pub fn env(&self) -> &TypeEnv {
         &self.point.env
     }
@@ -1387,7 +1053,7 @@ impl Session {
     }
 
     /// How long the σ-lowering of this program point took — the cost that is
-    /// paid once per *structurally distinct* point (fingerprint hits and
+    /// paid once per distinct declaration list (point-cache hits and
     /// incremental updates pay less) instead of once per query.
     pub fn prepare_time(&self) -> Duration {
         self.point.prepare_time
@@ -1400,12 +1066,10 @@ impl Session {
 
     /// Answers one query against this program point.
     ///
-    /// Does not re-run σ (unless the query overrides the weight
-    /// configuration, which forces an internal re-preparation), and reuses
-    /// the engine-cached derivation graph when the goal was queried before —
-    /// by this session or any session addressing a structurally equal point
-    /// — the repeated-query fast path that skips exploration and pattern
-    /// generation entirely.
+    /// Does not re-run σ, and reuses the engine-cached derivation graph when
+    /// the goal was queried before — by this session or any session sharing
+    /// its point — the repeated-query fast path that skips exploration and
+    /// pattern generation entirely.
     pub fn query(&self, query: &Query) -> SynthesisResult {
         self.query_stream(query).into_result(query.n)
     }
@@ -1424,27 +1088,6 @@ impl Session {
     /// order, terms and weights are identical either way.
     pub fn query_stream(&self, query: &Query) -> TermStream {
         let config = query.effective_config(&self.config);
-        if let Some(weights) = &query.weights {
-            if *weights != self.config.weights {
-                // Weight overrides invalidate the prepared per-type weights
-                // (and every cached graph, which bakes them into its edges):
-                // re-prepare privately for this query (the documented slow
-                // path; the shared session is left untouched). The private
-                // artifact dies with the stream, so its suspended walk can
-                // never resume under different weights.
-                let point = Arc::new(PreparedPoint {
-                    env: self.point.env.clone(),
-                    prepared: Arc::new(PreparedEnv::prepare(&self.point.env, weights)),
-                    prepare_time: Duration::ZERO,
-                });
-                self.count_build();
-                let artifacts = Arc::new(build_artifacts(&point, &config, &query.goal));
-                let decls = point.env.len();
-                let distinct = point.prepared.distinct_succinct_types();
-                return TermStream::open(artifacts, config, decls, distinct, query.cancel.clone());
-            }
-        }
-
         let cell = if self.config.graph_cache_capacity == 0 {
             None
         } else {
@@ -1459,9 +1102,9 @@ impl Session {
                 .map(|cell| (key, cell))
         };
         let artifacts = match cell {
-            // Caching disabled, or the key is occupied by a structurally
-            // different program point (a fingerprint collision): build
-            // privately, per query, caching nothing.
+            // Caching disabled, or the key is occupied by a different
+            // declaration list (a permutation or a fingerprint collision):
+            // build privately, per query, caching nothing.
             None => {
                 self.count_build();
                 Arc::new(build_artifacts(&self.point, &config, &query.goal))
@@ -1512,13 +1155,11 @@ impl Session {
     ///   (removed declarations count), fall back to a fresh preparation:
     ///   such a removal shifts the interning sequence, so nothing can be
     ///   proven bit-identical cheaply;
-    /// * a no-op delta (or one whose result is already cached **with the
-    ///   identical declaration order**) returns a session sharing the
-    ///   existing point outright. Unlike [`Engine::prepare`], this path
-    ///   never resolves to a permuted canonical representative: equal-weight
-    ///   ties emit in declaration order, and the byte-identity promise is to
-    ///   the edited list itself, so a cached permutation is prepared past
-    ///   (uncached) rather than adopted.
+    /// * a no-op delta (or one whose result is already cached) returns a
+    ///   session sharing the existing point outright. As in
+    ///   [`Engine::prepare`], only the identical declaration list is shared:
+    ///   a cached permutation is prepared past (uncached) rather than
+    ///   adopted.
     ///
     /// The original session remains fully usable — sessions are immutable;
     /// an editor keeps one session per open revision if it wants to.
@@ -1528,20 +1169,12 @@ impl Session {
         let kept = delta.kept(old_env);
         let new_env = delta.apply_kept(old_env, &kept);
         let fingerprint = PreparedEnv::fingerprint_of(&new_env, &self.config.weights);
-        // Sharing on this path demands the *identical* declaration list
-        // (PointMatch::Exact, and plain equality for the no-op shortcut):
-        // update's contract is byte-identity with a fresh preparation of the
-        // edited list, and equal-weight ties emit in declaration order, so a
-        // structurally-equal permutation is not interchangeable here.
         if fingerprint == old_point.prepared.fingerprint && *old_env == new_env {
             return self.resession(Arc::clone(old_point));
         }
         let point_capacity = self.config.point_cache_capacity;
         if point_capacity > 0 {
-            if let Some(point) = self
-                .cache
-                .lookup_point(fingerprint, &new_env, PointMatch::Exact)
-            {
+            if let Some(point) = self.cache.lookup_point(fingerprint, &new_env) {
                 return self.resession(point);
             }
         }
@@ -1572,11 +1205,7 @@ impl Session {
         };
         let prepare_time = started.elapsed();
         self.cache.record_prepare(incremental, prepare_time);
-        let point = Arc::new(PreparedPoint {
-            env: new_env,
-            prepared,
-            prepare_time,
-        });
+        let point = Arc::new(PreparedPoint::new(new_env, prepared, prepare_time));
 
         if incremental && removed == 0 && self.config.graph_cache_capacity > 0 {
             // Selective carry-over: a cached graph survives the edit iff a
@@ -1610,8 +1239,7 @@ impl Session {
         }
 
         let point = if point_capacity > 0 {
-            self.cache
-                .insert_point(point, point_capacity, PointMatch::Exact)
+            self.cache.insert_point(point, point_capacity)
         } else {
             point
         };
@@ -1642,18 +1270,12 @@ impl Session {
 
     /// Number of derivation-graph builds this session has performed — cache
     /// misses plus non-cacheable builds (wall-clock-truncated explorations,
-    /// weight-override queries). The difference between queries issued and
+    /// keys held by a different declaration list). The difference between queries issued and
     /// builds performed is the cache's hit count for this session. (The
     /// engine-wide total, across sessions, is
     /// [`Engine::graph_build_count`].)
     pub fn graph_build_count(&self) -> usize {
         self.graph_builds.load(Ordering::Relaxed)
-    }
-
-    /// Answers several queries against this program point, sequentially,
-    /// returning results in input order.
-    pub fn query_many(&self, queries: &[Query]) -> Vec<SynthesisResult> {
-        queries.iter().map(|q| self.query(q)).collect()
     }
 
     /// Decides inhabitation only (the "prover" mode used for the Imogen/fCube
@@ -1683,23 +1305,15 @@ impl Session {
     }
 
     /// Statically analyzes this session's program point — the session form
-    /// of [`Engine::analyze`], sharing the same fingerprint-keyed report
-    /// cache. The report's diagnostic indices resolve against
-    /// [`Session::env`] (the canonical declaration list).
+    /// of [`Engine::analyze`]. The report is computed once per prepared point
+    /// and kept on it, so every session sharing the point shares the report.
+    /// Its diagnostic indices resolve against [`Session::env`].
     pub fn analyze(&self) -> Arc<AnalysisReport> {
-        let capacity = self.config.analysis_cache_capacity;
-        if capacity > 0 {
-            if let Some(report) = self.cache.lookup_analysis(&self.point) {
-                return report;
-            }
-        }
-        self.cache.analyses_run.fetch_add(1, Ordering::Relaxed);
-        let report = Arc::new(analyze_point(&self.point, &self.config));
-        if capacity > 0 {
-            self.cache.insert_analysis(&self.point, report, capacity)
-        } else {
-            report
-        }
+        let report = self.point.analysis.get_or_init(|| {
+            self.cache.analyses_run.fetch_add(1, Ordering::Relaxed);
+            Arc::new(analyze_point(&self.point, &self.config))
+        });
+        Arc::clone(report)
     }
 }
 
@@ -2006,11 +1620,7 @@ impl Drop for TermStream {
             // is intact, but persisting one would let an aborted request
             // leak its partial trajectory into later queries' stats.
             if !state.time_truncated() && !state.cancelled() {
-                self.artifacts.checkin_walk(
-                    self.key.clone(),
-                    state,
-                    self.config.suspended_walk_capacity,
-                );
+                self.artifacts.checkin_walk(self.key.clone(), state);
             }
         }
     }
@@ -2056,7 +1666,6 @@ mod tests {
         assert_send_sync::<Engine>();
         assert_send_sync::<Session>();
         assert_send_sync::<Query>();
-        assert_send_sync::<BatchRequest>();
         assert_send_sync::<EnvDelta>();
     };
 
@@ -2095,56 +1704,57 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_returns_no_results() {
-        let engine = Engine::new(SynthesisConfig::default());
-        assert!(engine.query_batch(&[]).is_empty());
-    }
-
-    #[test]
-    fn batch_results_are_input_ordered_and_match_sequential_queries() {
-        let engine = Engine::new(SynthesisConfig::default());
-        let requests = vec![
-            BatchRequest::new(env_a(), Query::new(Ty::base("File")).with_n(5)),
-            BatchRequest::new(env_b(), Query::new(Ty::base("A")).with_n(4)),
-            BatchRequest::new(env_a(), Query::new(Ty::base("String")).with_n(3)),
-            BatchRequest::new(env_b(), Query::new(Ty::base("A")).with_n(2)),
-        ];
-        let batched = engine.query_batch(&requests);
-        assert_eq!(batched.len(), requests.len());
-        for (request, batch_result) in requests.iter().zip(&batched) {
-            let sequential = engine.prepare(&request.env).query(&request.query);
-            assert_eq!(render(batch_result), render(&sequential));
-        }
-        // Spot-check the input ordering explicitly.
-        assert_eq!(batched[0].snippets[0].term.to_string(), "mkFile(name)");
-        assert_eq!(batched[2].snippets[0].term.to_string(), "name");
-        assert_eq!(batched[3].snippets.len(), 2);
-        // Two distinct points: two σ runs, no matter how many requests.
-        assert_eq!(engine.prepare_count(), 2);
-    }
-
-    #[test]
-    fn structurally_equal_points_share_one_preparation_and_one_graph() {
+    fn identical_points_share_one_preparation_and_one_graph() {
         let engine = Engine::new(SynthesisConfig::default());
         let forward = env_a();
         let reversed: TypeEnv = forward.iter().rev().cloned().collect();
 
         let s1 = engine.prepare(&forward);
         let s2 = engine.prepare(&forward.clone());
+        assert_eq!(
+            engine.prepare_count(),
+            1,
+            "one σ run for the identical list"
+        );
+        assert!(Arc::ptr_eq(&s1.point, &s2.point));
+
+        // A permutation fingerprints equal but is prepared privately.
         let s3 = engine.prepare(&reversed);
-        assert_eq!(engine.prepare_count(), 1, "one σ run for all three");
-        assert_eq!(s1.fingerprint(), s2.fingerprint());
+        assert_eq!(engine.prepare_count(), 2);
         assert_eq!(s1.fingerprint(), s3.fingerprint());
+        assert_eq!(*s3.env(), reversed);
 
         let query = Query::new(Ty::base("File")).with_n(5);
         let r1 = s1.query(&query);
         let r2 = s2.query(&query);
+        assert_eq!(engine.graph_build_count(), 1, "one graph for s1 and s2");
         let r3 = s3.query(&query);
-        assert_eq!(engine.graph_build_count(), 1, "one graph for all three");
+        assert_eq!(engine.graph_build_count(), 2, "s3 builds its own graph");
         assert_eq!(render(&r1), render(&r2));
         assert_eq!(render(&r1), render(&r3));
-        // The canonical environment is the first-prepared declaration list.
-        assert_eq!(s3.env().decls()[0].name, "name");
+    }
+
+    #[test]
+    fn prepare_answers_a_permutation_of_a_cached_point_in_its_own_order() {
+        // `path` and `name` are equal-weight String locals, so the top
+        // answer is whichever comes first in the declaration list. An engine
+        // already holding the reversed list must not hand it out.
+        let path = || Declaration::new("path", Ty::base("String"), DeclKind::Local);
+        let name = || Declaration::new("name", Ty::base("String"), DeclKind::Local);
+        let seeded: TypeEnv = vec![path(), name()].into_iter().collect();
+        let env: TypeEnv = vec![name(), path()].into_iter().collect();
+
+        let engine = Engine::new(SynthesisConfig::default());
+        let query = Query::new(Ty::base("String")).with_n(2);
+        let _ = engine.prepare(&seeded).query(&query);
+        let session = engine.prepare(&env);
+        let result = session.query(&query);
+        let fresh = Engine::new(SynthesisConfig::default())
+            .prepare(&env)
+            .query(&query);
+        assert_eq!(result.snippets[0].term.to_string(), "name");
+        assert_eq!(render(&result), render(&fresh));
+        assert_eq!(*session.env(), env);
     }
 
     #[test]
@@ -2155,9 +1765,7 @@ mod tests {
         // point's order, and equal-weight ties emit in declaration order —
         // so the artifact cache must refuse to serve one session's graph to
         // the other (sharing it once produced the ill-typed `mkFile(other)`
-        // where `other : Gadget`). Cross-point graph sharing is what the
-        // point cache's canonicalization provides; opting out of it opts
-        // out of both.
+        // where `other : Gadget`).
         let config = SynthesisConfig {
             point_cache_capacity: 0,
             ..SynthesisConfig::default()
@@ -2190,39 +1798,6 @@ mod tests {
     }
 
     #[test]
-    fn batch_without_point_cache_matches_sequential_queries_on_permutations() {
-        // Regression: with the point cache disabled, a sequential query
-        // prepares each request's own declaration order, so the batch must
-        // not group a permutation with its canonical form (equal-weight
-        // ties — two String locals here — emit in declaration order).
-        let config = SynthesisConfig {
-            point_cache_capacity: 0,
-            ..SynthesisConfig::default()
-        };
-        let engine = Engine::new(config);
-        let env: TypeEnv = vec![
-            Declaration::new("name", Ty::base("String"), DeclKind::Local),
-            Declaration::new("path", Ty::base("String"), DeclKind::Local),
-        ]
-        .into_iter()
-        .collect();
-        let reversed: TypeEnv = env.iter().rev().cloned().collect();
-
-        let query = Query::new(Ty::base("String")).with_n(2);
-        let requests = vec![
-            BatchRequest::new(env.clone(), query.clone()),
-            BatchRequest::new(reversed.clone(), query.clone()),
-        ];
-        let batched = engine.query_batch(&requests);
-        for (request, batch_result) in requests.iter().zip(&batched) {
-            let sequential = engine.prepare(&request.env).query(&request.query);
-            assert_eq!(render(batch_result), render(&sequential));
-        }
-        assert_eq!(batched[0].snippets[0].term.to_string(), "name");
-        assert_eq!(batched[1].snippets[0].term.to_string(), "path");
-    }
-
-    #[test]
     fn update_stays_fresh_identical_when_a_permuted_point_is_cached() {
         // Regression: the engine's point cache holds a *permuted* ordering
         // of the environment an update is about to produce. The update must
@@ -2247,10 +1822,14 @@ mod tests {
         assert_eq!(render(&from_updated), render(&fresh));
         assert_eq!(from_updated.snippets[0].term.to_string(), "name");
 
-        // The canonical permuted point is untouched and still serves
-        // Engine::prepare's canonicalizing path.
-        let canonical = engine.prepare(&vec![name(), path()].into_iter().collect());
-        assert_eq!(canonical.env().decls()[0].name, "path");
+        // The permuted point is untouched: preparing it again shares it, and
+        // preparing the edited list answers in the edited list's order.
+        let prepares = engine.prepare_count();
+        let again = engine.prepare(&permuted);
+        assert_eq!(engine.prepare_count(), prepares);
+        assert_eq!(again.env().decls()[0].name, "path");
+        let prepared = engine.prepare(&delta.apply(session.env()));
+        assert_eq!(render(&prepared.query(&query)), render(&fresh));
     }
 
     #[test]
@@ -2264,21 +1843,6 @@ mod tests {
         let _ = engine.prepare(&env_a());
         assert_eq!(engine.prepare_count(), 2);
         assert_eq!(engine.cached_point_count(), 0);
-    }
-
-    #[test]
-    fn query_many_matches_individual_queries() {
-        let engine = Engine::new(SynthesisConfig::default());
-        let session = engine.prepare(&env_b());
-        let queries = vec![
-            Query::new(Ty::base("A")).with_n(3),
-            Query::new(Ty::base("A")).with_n(1),
-        ];
-        let many = session.query_many(&queries);
-        assert_eq!(many.len(), 2);
-        for (query, result) in queries.iter().zip(&many) {
-            assert_eq!(render(result), render(&session.query(query)));
-        }
     }
 
     #[test]
@@ -2592,16 +2156,6 @@ mod tests {
     }
 
     #[test]
-    fn run_indexed_returns_results_in_index_order() {
-        let doubled = run_indexed(100, 8, |i| i * 2);
-        assert_eq!(doubled.len(), 100);
-        for (i, v) in doubled.iter().enumerate() {
-            assert_eq!(*v, i * 2);
-        }
-        assert!(run_indexed(0, 8, |i| i).is_empty());
-    }
-
-    #[test]
     fn pre_cancelled_query_stops_early_and_reports_truncated() {
         let engine = Engine::new(SynthesisConfig::default());
         let session = engine.prepare(&env_b());
@@ -2679,17 +2233,5 @@ mod tests {
         assert_eq!(grown.graph_build_count, 2);
         assert_eq!(grown.cached_point_count, 2);
         assert_eq!(grown.cached_graph_count, 2);
-    }
-
-    #[test]
-    fn envs_equivalent_is_order_insensitive_but_multiplicity_aware() {
-        let forward = env_a();
-        let reversed: TypeEnv = forward.iter().rev().cloned().collect();
-        assert!(envs_equivalent(&forward, &reversed));
-        let mut duplicated = forward.clone();
-        duplicated.push((*forward.decls()[0]).clone());
-        assert!(!envs_equivalent(&forward, &duplicated));
-        let reweighted: TypeEnv = forward.iter().map(|d| d.clone().with_weight(1.0)).collect();
-        assert!(!envs_equivalent(&forward, &reweighted));
     }
 }

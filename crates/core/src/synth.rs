@@ -45,31 +45,14 @@ pub struct SynthesisConfig {
     /// graph).
     pub graph_cache_capacity: usize,
     /// Upper bound on the number of *prepared program points* the engine
-    /// retains, keyed by environment fingerprint: preparing an environment
-    /// structurally equal to one already prepared (same declaration multiset
-    /// and weights, any order) reuses the cached σ-lowering instead of
-    /// re-running it. Evicted least-recently-used; `0` disables cross-point
-    /// reuse (every [`Engine::prepare`](crate::Engine::prepare) runs σ, and
-    /// graphs are only ever shared between sessions holding the identical
-    /// declaration list). Size it above the deployment's working set of
-    /// distinct points: permutations of one environment resolve to whichever
-    /// ordering is currently the cached canonical, so under-sizing makes the
-    /// emission order of equal-weight ties depend on eviction timing.
+    /// retains, keyed by environment fingerprint: preparing the identical
+    /// declaration list again reuses the cached σ-lowering instead of
+    /// re-running it (a permutation is prepared afresh, since equal-weight
+    /// ties emit in declaration order). Evicted least-recently-used; `0`
+    /// disables cross-point reuse (every [`Engine::prepare`](crate::Engine::prepare)
+    /// runs σ, and graphs are only ever shared between sessions holding the
+    /// identical declaration list).
     pub point_cache_capacity: usize,
-    /// Upper bound on the number of *suspended walk states* each cached
-    /// derivation graph retains, keyed by reconstruction budget. A query (or
-    /// a dropped [`TermStream`](crate::TermStream)) parks its frontier here,
-    /// so a follow-up asking for more results on the same goal resumes the
-    /// walk — popping only the delta — instead of replaying it from scratch.
-    /// Evicted least-recently-used per graph; `0` disables walk persistence
-    /// (every query replays its walk; results are identical either way).
-    pub suspended_walk_capacity: usize,
-    /// Upper bound on the number of environment analyses
-    /// ([`Engine::analyze`](crate::Engine::analyze) reports) the engine
-    /// caches, keyed by environment fingerprint alongside the point cache.
-    /// Evicted least-recently-used; `0` disables analysis caching (every
-    /// call re-runs the producibility fixpoint).
-    pub analysis_cache_capacity: usize,
 }
 
 impl Default for SynthesisConfig {
@@ -84,8 +67,6 @@ impl Default for SynthesisConfig {
             erase_coercions: true,
             graph_cache_capacity: 64,
             point_cache_capacity: 32,
-            suspended_walk_capacity: 4,
-            analysis_cache_capacity: 32,
         }
     }
 }
@@ -423,26 +404,6 @@ mod tests {
         assert!(result
             .rank_of("BufferedInputStream(FileInputStream(name))")
             .is_some());
-    }
-
-    #[test]
-    fn per_query_weight_override_matches_a_dedicated_engine() {
-        // The slow path: one session, but a query that overrides the weights
-        // must rank exactly as an engine configured with those weights.
-        let no_weights = WeightConfig::new(WeightMode::NoWeights);
-        let session = engine().prepare(&io_env());
-        let goal = Ty::base("BufferedInputStream");
-        let overridden = session.query(&Query::new(goal.clone()).with_weights(no_weights.clone()));
-        let dedicated = Engine::new(SynthesisConfig::default().with_weights(no_weights))
-            .prepare(&io_env())
-            .query(&Query::new(goal));
-        let render = |r: &SynthesisResult| {
-            r.snippets
-                .iter()
-                .map(|s| (s.term.to_string(), s.weight))
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(render(&overridden), render(&dedicated));
     }
 
     #[test]

@@ -98,7 +98,7 @@ const POPULAR: &[&str] = &[
 /// Generates a deterministic synthetic corpus over every declaration of the
 /// model.
 ///
-/// * Curated popular symbols get Zipf-ranked counts starting at [`MAX_USES`].
+/// * Curated popular symbols get Zipf-ranked counts starting at `MAX_USES` (5,162).
 /// * Every other declaration gets a small tail count (mostly below 100).
 /// * The paper's overall most frequent symbol `&&` is recorded as well, so
 ///   that the corpus statistics binary can reproduce the §7.3 numbers.

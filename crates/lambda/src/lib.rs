@@ -8,7 +8,7 @@
 //! * [`Term`] — terms already in LNF shape (leading binders, a head symbol and
 //!   fully applied arguments),
 //! * [`Bindings`] — ordered name ↦ type environments with shadowing,
-//! * [`check`] / [`infer`](check::infer) — the typing rules of Figure 2,
+//! * [`check`] / [`infer`] — the typing rules of Figure 2,
 //!   restricted (as in the paper) to long normal form.
 //!
 //! # Example

@@ -1,6 +1,7 @@
 //! Server-side observability: per-method request counters, completion
 //! accounting, and a latency histogram — everything `server/stats` reports
-//! beyond the engine's own [`EngineStatsSnapshot`].
+//! beyond the engine's own
+//! [`EngineStatsSnapshot`](insynth_core::EngineStatsSnapshot).
 //!
 //! Counters are lock-free atomics; the histogram sits behind a mutex that is
 //! touched once per completion. All of it is plumbing for *reporting*:

@@ -384,9 +384,10 @@ impl Server {
     fn env_analyze(&self, params: &Json) -> Result<Json, ProtocolError> {
         let id = session_id(params)?;
         let session = self.lookup(id)?;
-        // Served from the engine's fingerprint-keyed report cache when this
-        // point (or a structural twin) was analyzed before; diagnostics are
-        // deterministic, so repeated calls are byte-identical.
+        // Served from the report kept on the session's prepared point when
+        // that point (the identical declaration list) was analyzed before;
+        // diagnostics are deterministic, so repeated calls are
+        // byte-identical.
         let report = session.analyze();
         Ok(report_to_json(&report))
     }
@@ -517,10 +518,6 @@ impl Server {
                         Json::from(engine.suspended_walk_count),
                     ),
                     ("analysis_count", Json::from(engine.analysis_count)),
-                    (
-                        "cached_analysis_count",
-                        Json::from(engine.cached_analysis_count),
-                    ),
                 ]),
             ),
         ];

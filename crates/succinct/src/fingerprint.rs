@@ -1,18 +1,21 @@
 //! Content-addressed environment identity.
 //!
 //! The interactive setting prepares a program point, queries it, the user
-//! edits, and the point comes back *slightly* changed — or a batch contains
-//! many points that are structurally the same environment. An
-//! [`EnvFingerprint`] gives such environments a first-class identity: a
-//! 128-bit digest over the *multiset* of declarations (each hashed with its
-//! name, type and effective weight), insensitive to declaration order, so two
-//! program points that differ only in the order declarations were collected
-//! address the same cached preparation.
+//! edits, and the point comes back *slightly* changed — or comes back
+//! unchanged. An [`EnvFingerprint`] gives such environments a first-class
+//! identity: a 128-bit digest over the *multiset* of declarations (each
+//! hashed with its name, type and effective weight), insensitive to
+//! declaration order.
 //!
-//! The fingerprint is a cache *key*, not a proof: the engine verifies
-//! structural equality of the underlying environments on every fingerprint
-//! hit before sharing prepared state, so a (vanishingly unlikely) collision
-//! degrades to an uncached preparation, never to wrong results.
+//! The fingerprint is a cache *key*, not a proof. The engine shares prepared
+//! state only with a request for the identical declaration list, because
+//! equal-weight completions emit in declaration order: a permutation (which
+//! fingerprints equal) or a (vanishingly unlikely) collision degrades to an
+//! uncached preparation, never to a different answer. The digest stays
+//! order-insensitive anyway, because as a key it only has to be equal for
+//! equal lists, and because a multiset digest can be updated by an edit's
+//! delta alone: both accumulators are invertible, so removing a declaration
+//! can undo its item without rehashing the rest of the environment.
 //!
 //! # Example
 //!
@@ -43,9 +46,9 @@ use insynth_intern::StableHasher;
 /// its declaration multiset (order-insensitive) plus the weight-configuration
 /// inputs that affect prepared artifacts.
 ///
-/// Equal fingerprints are the engine's signal that two program points can
+/// Equal fingerprints are the engine's signal that two program points may
 /// share one preparation and one derivation-graph cache line; the engine
-/// still verifies the environments match structurally before sharing.
+/// still requires the identical declaration list before sharing.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EnvFingerprint(u128);
 

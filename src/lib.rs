@@ -40,8 +40,11 @@
 //! environments**. Every environment has a *fingerprint* — an
 //! order-insensitive digest over its declaration multiset and effective
 //! weights — and the `Engine` keys its caches on it, so the lifecycle of a
-//! program point is: *prepare once per structurally distinct environment,
-//! query many times, update by delta when the user edits*.
+//! program point is: *prepare once per declaration list, query many times,
+//! update by delta when the user edits*. Only the identical list shares a
+//! cached preparation: equal-weight completions emit in declaration order,
+//! so a permutation is prepared on its own and answers exactly as a fresh
+//! engine would.
 //!
 //! ```
 //! use insynth::core::{Declaration, DeclKind, Engine, EnvDelta, Query, SynthesisConfig, TypeEnv};
@@ -65,13 +68,6 @@
 //! assert_eq!(result.snippets[0].term.to_string(), "mkFile(name)");
 //! let strings = session.query(&Query::new(Ty::base("String")));
 //! assert_eq!(strings.snippets[0].term.to_string(), "name");
-//!
-//! // Preparing a structurally equal environment — same declarations, any
-//! // order — is a fingerprint cache hit: no second σ run, shared graphs.
-//! let permuted: TypeEnv = env.iter().rev().cloned().collect();
-//! let same_point = engine.prepare(&permuted);
-//! assert_eq!(same_point.fingerprint(), session.fingerprint());
-//! assert_eq!(engine.prepare_count(), 1);
 //!
 //! // The user edits: update by delta instead of re-preparing from scratch.
 //! // σ runs only on the changed declarations, cached graphs the edit cannot
@@ -138,46 +134,17 @@
 //!
 //! Derivation graphs (with their A* completion-cost heuristics) are memoized
 //! on the **engine**, keyed `(environment fingerprint, goal, prover
-//! budgets)`, so repeated queries — from any session addressing a
-//! structurally equal point — skip straight to reconstruction, and builds
+//! budgets)`, so repeated queries — from any session sharing the prepared
+//! point — skip straight to reconstruction, and builds
 //! are single-flight under concurrency. Both caches are bounded
 //! (`SynthesisConfig::graph_cache_capacity`, default 64 graphs, and
 //! `SynthesisConfig::point_cache_capacity`, default 32 prepared points;
 //! least-recently-used eviction), so long-lived engines stay bounded in
 //! memory. Suspended walks follow the same discipline: each cached graph
-//! parks at most `SynthesisConfig::suspended_walk_capacity` walk states
-//! (default 4, LRU, keyed by reconstruction budgets), they ride along with
-//! `Session::update`'s delta carry-over exactly when the edit provably
-//! cannot reach their graph, and they are dropped — never stale-resumed —
-//! otherwise.
-//!
-//! For many program points at once, `Engine::query_batch` groups requests by
-//! fingerprint, prepares each distinct point once, and fans the queries out
-//! across a scoped thread pool, returning results in input order:
-//!
-//! ```
-//! use insynth::core::{BatchRequest, Declaration, DeclKind, Engine, Query, SynthesisConfig, TypeEnv};
-//! use insynth::lambda::Ty;
-//!
-//! let env: TypeEnv = vec![
-//!     Declaration::simple("name", Ty::base("String"), DeclKind::Local),
-//!     Declaration::simple(
-//!         "mkFile",
-//!         Ty::fun(vec![Ty::base("String")], Ty::base("File")),
-//!         DeclKind::Imported,
-//!     ),
-//! ]
-//! .into_iter()
-//! .collect();
-//!
-//! let engine = Engine::new(SynthesisConfig::default());
-//! let results = engine.query_batch(&[
-//!     BatchRequest::new(env.clone(), Query::new(Ty::base("File"))),
-//!     BatchRequest::new(env, Query::new(Ty::base("String"))),
-//! ]);
-//! assert_eq!(results[0].snippets[0].term.to_string(), "mkFile(name)");
-//! assert_eq!(results[1].snippets[0].term.to_string(), "name");
-//! ```
+//! parks at most four walk states (LRU, keyed by reconstruction budgets),
+//! they ride along with `Session::update`'s delta carry-over exactly when
+//! the edit provably cannot reach their graph, and they are dropped — never
+//! stale-resumed — otherwise.
 //!
 //! # Scaling the environment axis
 //!
@@ -229,12 +196,13 @@
 //! assert_eq!(report.dead_decls, vec![1]);
 //! assert_eq!(report.max_severity(), Some(Severity::Warning));
 //! assert_eq!(report.count_of(DiagnosticKind::DeadDecl), 1);
-//! // Analyzing the same point again is a fingerprint-cache hit.
+//! // Analyzing the same point again reuses the report kept on it.
 //! assert!(engine.analyze(&env).dead_decls == report.dead_decls);
+//! assert_eq!(engine.analysis_count(), 1);
 //! ```
 //!
-//! Reports are cached by environment fingerprint (bounded by
-//! `SynthesisConfig::analysis_cache_capacity`).
+//! A report is computed once per prepared point and lives on it, so it is
+//! dropped along with the point when the point cache evicts it.
 //!
 //! The same report is available off the library path:
 //!
@@ -292,8 +260,8 @@
 //! **Session lifecycle.** `env/open` declares a program point (types are
 //! strings for base types, `{"args": […], "ret": …}` for arrows) and
 //! returns a session id plus the environment's content-address fingerprint;
-//! opening a structurally equal point again is a fingerprint cache hit on
-//! the engine underneath. `env/update` applies an `EnvDelta` to the session
+//! opening the identical declaration list again is a point-cache hit on the
+//! engine underneath. `env/update` applies an `EnvDelta` to the session
 //! in place — same id, new fingerprint, incremental re-preparation.
 //! `completion/complete` pages through the ranked enumeration: pass the
 //! returned `cursor` back to continue, and the continuation *resumes* the
@@ -354,55 +322,6 @@
 //! insynth-trace replay edit.trace --mode server --workers 4
 //! insynth-trace replay --seed 7 --events 2000 --mode library --json --counters-only
 //! ```
-//!
-//! # Migrating from the PR 2 session API
-//!
-//! Code written against the original `Engine::prepare` / `Session::query`
-//! API compiles and behaves identically — `prepare`, `query`, `query_many`,
-//! `query_batch`, `is_inhabited` and the `Query` builder are unchanged. What
-//! changed underneath, and what new code should pick up:
-//!
-//! * **Caching moved from the session to the engine.** A session used to own
-//!   its graph cache; now graphs live on the engine keyed by environment
-//!   fingerprint, so sessions for structurally equal points share them.
-//!   `Session::graph_build_count` still reports the builds *this session*
-//!   performed; the engine-wide totals are `Engine::graph_build_count` and
-//!   `Engine::prepare_count`. Cloning an `Engine` shares its caches; create
-//!   engines with `Engine::new` when isolation is wanted.
-//! * **Re-preparing an unchanged (or merely permuted) environment is now a
-//!   cache hit** — the prepare-per-edit pattern no longer pays σ each time.
-//!   If the old behavior is needed (e.g. memory isolation), set
-//!   `SynthesisConfig::point_cache_capacity` to 0.
-//! * **Edits should use `Session::update(&EnvDelta)`** instead of rebuilding
-//!   the declaration list and calling `prepare`: adds, reweights and
-//!   removals of declarations whose types the rest of the environment
-//!   already has re-prepare incrementally, and adds and reweights keep
-//!   unaffected cached graphs; a removal that takes a type out of the
-//!   environment falls back to a full preparation automatically.
-//!
-//! # Migrating from plain `query` to streams
-//!
-//! `Session::query` is now a thin consumer of `Session::query_stream`: it
-//! opens a stream, drains `n` terms, and packages the classic
-//! `SynthesisResult`. Existing callers keep compiling and keep getting
-//! byte-identical answers — and transparently gain resumption: repeating a
-//! goal with a larger `n` now pops only the delta. New code that feeds an
-//! interactive surface should prefer `query_stream`:
-//!
-//! * `query(&q)` with `q.with_n(k)` ⇒ `query_stream(&q).take(k)` — same
-//!   terms, same order, lazily popped; call `has_more()` to decide whether
-//!   to offer a "more results" affordance instead of guessing from
-//!   `snippets.len() == n`.
-//! * There is no `Stream::close`: dropping the stream is what suspends its
-//!   walk for the next resume. Hold the stream only while paginating.
-//! * Per-query weight overrides still work on streams; they run against a
-//!   private graph, so their walks never resume across different override
-//!   values (and never pollute the shared cache).
-//! * Determinism is unchanged: a resumed walk's emission sequence equals the
-//!   from-scratch sequence bit for bit, in both the A* and the best-first
-//!   fallback regimes, so pagination can never reorder or drop a term. Set
-//!   `SynthesisConfig::suspended_walk_capacity` to 0 to disable persistence
-//!   (results stay identical; follow-up queries just replay their walks).
 
 pub use insynth_analysis as analysis;
 pub use insynth_apimodel as apimodel;

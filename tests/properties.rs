@@ -17,9 +17,10 @@
 //!   to plain best-first order,
 //! * truncation — a frontier-capped walk still emits a sorted subset of the
 //!   true enumeration with exact weights,
-//! * content addressing — structurally equal environments (any declaration
-//!   order) fingerprint equal, share one preparation and one derivation
-//!   graph, and answer byte-identically,
+//! * content addressing — the identical declaration list shares one
+//!   preparation and one derivation graph and answers byte-identically, and
+//!   a permutation (which fingerprints equal) answers exactly as a fresh
+//!   engine does even when the engine already holds the other order,
 //! * delta re-preparation — `Session::update(delta)` answers byte-identically
 //!   to a fresh `Engine::prepare` of the edited environment, for random
 //!   add/remove/reweight deltas including negative weight overrides (which
@@ -357,29 +358,35 @@ proptest! {
         goal in arb_goal(),
         rotation in 0usize..8,
     ) {
-        // The content-addressing contract: structurally equal environments
-        // (here: a rotation of the declaration list) fingerprint equal, σ
-        // runs once, the derivation graph is built once, and every session
-        // answers byte-identically — weight bits included.
+        // The content-addressing contract. The identical declaration list
+        // (a clone) shares one σ run and one graph build and answers
+        // byte-identically — weight bits included. A rotation fingerprints
+        // equal, but an engine already holding it answers `prepare(&env)`
+        // exactly like a fresh engine does.
         let config = SynthesisConfig::unbounded().with_max_depth(3);
+        let query = Query::new(goal).with_n(32);
+
+        let engine = Engine::new(config.clone());
+        let original = engine.prepare(&env);
+        let cloned = engine.prepare(&env.clone());
+        prop_assert_eq!(engine.prepare_count(), 1, "one σ run for both points");
+        prop_assert_eq!(original.fingerprint(), cloned.fingerprint());
+        let from_original = original.query(&query);
+        let from_cloned = cloned.query(&query);
+        prop_assert_eq!(engine.graph_build_count(), 1, "one graph for both points");
+        prop_assert_eq!(result_key(&from_original), result_key(&from_cloned));
+        prop_assert_eq!(stats_key(&from_original), stats_key(&from_cloned));
+
         let decls: Vec<Declaration> = env.iter().cloned().collect();
         let k = rotation % decls.len().max(1);
         let rotated: TypeEnv = decls[k..].iter().chain(&decls[..k]).cloned().collect();
-
-        let engine = Engine::new(config);
-        prop_assert_eq!(engine.fingerprint(&env), engine.fingerprint(&rotated));
-
-        let canonical = engine.prepare(&env);
-        let permuted = engine.prepare(&rotated);
-        prop_assert_eq!(engine.prepare_count(), 1, "one σ run for both points");
-        prop_assert_eq!(canonical.fingerprint(), permuted.fingerprint());
-
-        let query = Query::new(goal).with_n(32);
-        let from_canonical = canonical.query(&query);
-        let from_permuted = permuted.query(&query);
-        prop_assert_eq!(engine.graph_build_count(), 1, "one graph for both points");
-        prop_assert_eq!(result_key(&from_canonical), result_key(&from_permuted));
-        prop_assert_eq!(stats_key(&from_canonical), stats_key(&from_permuted));
+        let seeded = Engine::new(config.clone());
+        prop_assert_eq!(seeded.fingerprint(&env), seeded.fingerprint(&rotated));
+        let _ = seeded.prepare(&rotated).query(&query);
+        let from_seeded = seeded.prepare(&env).query(&query);
+        let fresh = Engine::new(config).prepare(&env).query(&query);
+        prop_assert_eq!(result_key(&from_seeded), result_key(&fresh));
+        prop_assert_eq!(stats_key(&from_seeded), stats_key(&fresh));
     }
 
     #[test]
@@ -435,7 +442,7 @@ proptest! {
         // Adversarial seeding: the engine may already hold a *permuted*
         // ordering of the edited environment. Equal-weight ties emit in
         // declaration order, so update must prepare the edited list itself
-        // rather than adopt the permuted canonical point.
+        // rather than adopt the permuted point.
         if edited.len() > 1 {
             let rotated: TypeEnv = edited.decls()[1..]
                 .iter()

@@ -1,19 +1,18 @@
-//! Integration tests of the session API: prepare once / query many, batched
-//! execution, and concurrent use of a shared session.
+//! Integration tests of the session API: prepare once / query many, several
+//! program points on one engine, and concurrent use of a shared session.
 //!
-//! The determinism contract under test: `Engine::query_batch` must return,
-//! in input order, results byte-identical to running every query sequentially
-//! through `Session::query`, no matter how the thread pool schedules them;
-//! and a single `Arc<Session>` must serve identical answers from any number
-//! of threads.
+//! The determinism contract under test: a session prepared on a shared,
+//! warm engine must answer byte-identically to a fresh engine preparing the
+//! same declaration list, and a single `Arc<Session>` must serve identical
+//! answers from any number of threads.
 
 use std::sync::Arc;
 use std::thread;
 
 use insynth::apimodel::{extract, javaapi, ProgramPoint};
 use insynth::core::{
-    BatchRequest, DeclKind, Declaration, Engine, EnvDelta, Query, Session, SynthesisConfig,
-    SynthesisResult, TypeEnv,
+    DeclKind, Declaration, Engine, EnvDelta, Query, Session, SynthesisConfig, SynthesisResult,
+    TypeEnv,
 };
 use insynth::corpus::synthetic_corpus;
 use insynth::lambda::Ty;
@@ -86,54 +85,50 @@ fn session_is_send_and_sync() {
 }
 
 #[test]
-fn query_batch_matches_sequential_queries_over_mixed_environments() {
+fn mixed_program_points_on_one_engine_answer_like_fresh_engines() {
     let engine = Engine::new(SynthesisConfig::default());
     let io = io_point_env();
     let tree = tree_point_env();
     let tiny = tiny_env();
 
-    // Mixed program points, interleaved, with repeated points and varying N —
-    // the grouping must prepare each distinct point once and still return
-    // results in input order.
-    let requests = vec![
-        BatchRequest::new(
-            io.clone(),
-            Query::new(Ty::base("SequenceInputStream")).with_n(10),
-        ),
-        BatchRequest::new(tiny.clone(), Query::new(Ty::base("A")).with_n(7)),
-        BatchRequest::new(
-            tree.clone(),
+    // Mixed program points, interleaved, with repeated points and varying N:
+    // the engine prepares each distinct point once, and every answer equals
+    // a fresh engine's.
+    let requests = [
+        (&io, Query::new(Ty::base("SequenceInputStream")).with_n(10)),
+        (&tiny, Query::new(Ty::base("A")).with_n(7)),
+        (
+            &tree,
             Query::new(Ty::base("FilterTypeTreeTraverser")).with_n(5),
         ),
-        BatchRequest::new(io.clone(), Query::new(Ty::base("BufferedReader")).with_n(8)),
-        BatchRequest::new(
-            tiny.clone(),
-            Query::new(Ty::base("A")).with_n(3).with_max_depth(2),
-        ),
-        BatchRequest::new(
-            io.clone(),
-            Query::new(Ty::base("FileInputStream")).with_n(4),
-        ),
-        BatchRequest::new(tree.clone(), Query::new(Ty::base("Boolean")).with_n(6)),
+        (&io, Query::new(Ty::base("BufferedReader")).with_n(8)),
+        (&tiny, Query::new(Ty::base("A")).with_n(3).with_max_depth(2)),
+        (&io, Query::new(Ty::base("FileInputStream")).with_n(4)),
+        (&tree, Query::new(Ty::base("Boolean")).with_n(6)),
     ];
+    let answer = |engine: &Engine| -> Vec<_> {
+        requests
+            .iter()
+            .map(|(env, query)| fingerprint(&engine.prepare(env).query(query)))
+            .collect()
+    };
 
-    let batched = engine.query_batch(&requests);
-    assert_eq!(batched.len(), requests.len());
-
-    for (i, request) in requests.iter().enumerate() {
-        let sequential = engine.prepare(&request.env).query(&request.query);
+    let shared = answer(&engine);
+    assert_eq!(engine.prepare_count(), 3, "one σ run per distinct point");
+    for (i, (env, query)) in requests.iter().enumerate() {
+        let fresh = Engine::new(SynthesisConfig::default())
+            .prepare(env)
+            .query(query);
         assert_eq!(
-            fingerprint(&batched[i]),
-            fingerprint(&sequential),
-            "batched result {i} diverged from the sequential query"
+            shared[i],
+            fingerprint(&fresh),
+            "shared-engine result {i} diverged from a fresh engine"
         );
     }
 
-    // Re-running the batch is deterministic too.
-    let again = engine.query_batch(&requests);
-    for (first, second) in batched.iter().zip(&again) {
-        assert_eq!(fingerprint(first), fingerprint(second));
-    }
+    // Re-running on the warm engine is deterministic too.
+    assert_eq!(answer(&engine), shared);
+    assert_eq!(engine.prepare_count(), 3);
 }
 
 #[test]
@@ -167,16 +162,6 @@ fn one_arc_session_serves_identical_results_from_many_threads() {
         assert_eq!(shared, expected, "concurrent query diverged");
         assert!(!own.is_empty());
     }
-}
-
-#[test]
-fn batch_with_a_single_request_equals_the_direct_query() {
-    let engine = Engine::new(SynthesisConfig::default());
-    let env = tiny_env();
-    let query = Query::new(Ty::base("A")).with_n(4);
-    let batched = engine.query_batch(&[BatchRequest::new(env.clone(), query.clone())]);
-    let direct = engine.prepare(&env).query(&query);
-    assert_eq!(fingerprint(&batched[0]), fingerprint(&direct));
 }
 
 #[test]
@@ -218,43 +203,38 @@ fn repeated_queries_reuse_the_cached_graph_and_return_identical_results() {
 }
 
 #[test]
-fn structurally_equal_points_share_preparation_and_graphs_across_a_batch() {
-    // The cross-point contract at paper scale: a batch over clones and a
-    // permutation of one program point runs σ once and builds each queried
-    // goal's graph once, while answering byte-identically to sequential
-    // queries.
+fn equal_points_share_preparation_and_graphs_and_permutations_answer_in_their_own_order() {
+    // The cross-point contract at paper scale: separately cloned copies of
+    // one program point run σ once and build each queried goal's graph
+    // once; a permutation of it is prepared privately and answers exactly
+    // as a fresh engine does on that permutation.
     let engine = Engine::new(SynthesisConfig::default());
     let env = io_point_env();
     let reversed: TypeEnv = env.iter().rev().cloned().collect();
 
     let goal = || Query::new(Ty::base("SequenceInputStream")).with_n(10);
-    let requests = vec![
-        BatchRequest::new(env.clone(), goal()),
-        BatchRequest::new(reversed.clone(), goal()),
-        BatchRequest::new(env.clone(), goal()),
-        BatchRequest::new(env.clone(), goal().with_n(4)),
-    ];
-    let batched = engine.query_batch(&requests);
-
-    assert_eq!(engine.prepare_count(), 1, "one σ run for four requests");
+    let first = engine.prepare(&env.clone()).query(&goal());
+    let second = engine.prepare(&env.clone()).query(&goal());
+    let top4 = engine.prepare(&env.clone()).query(&goal().with_n(4));
+    assert_eq!(engine.prepare_count(), 1, "one σ run for three copies");
     assert_eq!(
         engine.graph_build_count(),
         1,
-        "one derivation graph for four requests over one goal"
+        "one derivation graph for three queries over one goal"
     );
-    for result in &batched[1..3] {
-        assert_eq!(fingerprint(result), fingerprint(&batched[0]));
-    }
-    assert_eq!(fingerprint(&batched[3]), fingerprint(&batched[0])[..4]);
+    assert_eq!(fingerprint(&second), fingerprint(&first));
+    assert_eq!(fingerprint(&top4), fingerprint(&first)[..4]);
 
-    // Sequential preparation of the permuted environment also reuses the
-    // canonical point.
-    let session = engine.prepare(&reversed);
-    assert_eq!(engine.prepare_count(), 1);
+    let permuted = engine.prepare(&reversed).query(&goal());
     assert_eq!(
-        fingerprint(&session.query(&goal())),
-        fingerprint(&batched[0])
+        engine.prepare_count(),
+        2,
+        "the permutation prepares privately"
     );
+    let fresh = Engine::new(SynthesisConfig::default())
+        .prepare(&reversed)
+        .query(&goal());
+    assert_eq!(fingerprint(&permuted), fingerprint(&fresh));
 }
 
 #[test]
