@@ -89,9 +89,9 @@
 //!    answers;
 //! 4. a **deterministic scripted-session gate** — the server integration
 //!    test's stdio script must replay byte-identically on two fresh servers
-//!    and report exactly the expected cache-hit counters (2 σ runs, 2 graph
-//!    builds, 2 resumed walks, 1 cancelled request) in its final
-//!    `server/stats` reply;
+//!    and report exactly the expected cache-hit counters (2 σ runs, 1 graph
+//!    build, 1 graph patch — the script's update is σ-inert — 2 resumed
+//!    walks, 1 cancelled request) in its final `server/stats` reply;
 //! 5. a **growth-exponent gate** — σ preparation re-measured along the
 //!    scaled 12k/25k/51k-declaration ladder must fit a near-linear power
 //!    law (exponent ≤ 1.5, re-measured once on a breach);
@@ -109,9 +109,10 @@
 //! 8. a **deterministic removal gate** — the same seeded trace with a
 //!    removal-heavy update mix (update fraction 0.4, remove fraction 0.8)
 //!    must prepare fresh no more often than it opens a point, i.e. every
-//!    update, removals included, stays on the incremental σ path, and it
-//!    must replay to the digest pinned while removals still prepared
-//!    fresh; no timing involved;
+//!    update, removals included, stays on the incremental σ path, must
+//!    build and patch exactly the pinned numbers of derivation graphs, and
+//!    must replay to the digest pinned while removals still prepared fresh;
+//!    no timing involved;
 //! 9. a **top-rung exploration gate** — exploring the 51k-decl
 //!    `env_scaling` rung for the `env_scaling` goal under the default
 //!    limits (500 ms prover time limit) must not be time-truncated and must
@@ -172,7 +173,7 @@ const GROWTH_EXPONENT_CAP: f64 = 1.5;
 const TRACE_GATE_SEED: u64 = 1013;
 const TRACE_GATE_EVENTS: usize = 400;
 const TRACE_GATE_PREPARES: usize = 56;
-const TRACE_GATE_GRAPH_BUILDS: usize = 130;
+const TRACE_GATE_GRAPH_BUILDS: usize = 32;
 const TRACE_GATE_DIGEST: &str = "b2c25e7db777f25c";
 
 /// The fixed editor trace the `--check` trace-replay gate replays: 400
@@ -194,6 +195,10 @@ fn trace_gate_trace() -> Trace {
 /// ([`removal_gate_trace`]). Pinned while every removal still prepared
 /// fresh, so the gate holds the incremental path to the fresh answers.
 const REMOVAL_GATE_DIGEST: &str = "84ebbf87f8a112cc";
+/// The removal gate's pinned graph builds and graph patches: its edits are
+/// σ-inert, so most edited points patch an ancestor's graph.
+const REMOVAL_GATE_GRAPH_BUILDS: usize = 64;
+const REMOVAL_GATE_GRAPH_PATCHES: usize = 103;
 
 /// The removal-heavy editor trace the `--check` removal gate replays: the
 /// trace-replay gate's points, events and environment, with 40% of events
@@ -798,7 +803,7 @@ fn main() {
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str(
-        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check runs ten gates and fails when (1) four sequential prepare + query calls over separately cloned equal filler-4 lists stop reporting exactly 1 prepare + 1 graph build, (2) the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, (3) growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), (4) the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 2 graph builds, 2 resumed walks, 1 cancelled request), (5) the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, (6) Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, (7) the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), (8) the removal-heavy variant of that trace prepares fresh more often than it opens a point or drifts from its pinned digest, (9) exploring the 51k rung under the default limits is time-truncated or processes fewer requests than an unlimited run in two consecutive windows, or (10) the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
+        "  \"_note\": \"Reference timings for the env_scaling, session_amortization, gent_ablation, genp_ablation, resume_walk, server_roundtrip, sigma_prepare, analysis and trace_replay benchmark workloads. Wall-clock, machine-specific; regenerate on the machine you compare on with: cargo run --release -p insynth_bench --bin baseline. CI perf smoke: baseline --check runs ten gates and fails when (1) four sequential prepare + query calls over separately cloned equal filler-4 lists stop reporting exactly 1 prepare + 1 graph build, (2) the A* walk stops cutting filler-4 queue pops 2x vs the best-first walk, (3) growing n=10 into n=20 on a warm session stops resuming the suspended walk (extra graph builds, or not strictly fewer pops than a from-scratch n=20, or diverging answers), (4) the scripted server session stops being byte-stable or stops reporting its expected cache-hit counters (2 prepares, 1 graph build, 1 graph patch, 2 resumed walks, 1 cancelled request), (5) the σ-prepare growth exponent over the 12k/25k/51k ladder exceeds its cap, (6) Engine::analyze over the shipped models drifts from the pinned diagnostic counts or a warning escapes envlint.allow, (7) the pinned seeded editor trace stops replaying to its recorded event/prepare/graph-build counts and result digest (byte-identically across two library runs, with the server path digesting identically), (8) the removal-heavy variant of that trace prepares fresh more often than it opens a point or drifts from its pinned graph-build and graph-patch counts or digest, (9) exploring the 51k rung under the default limits is time-truncated or processes fewer requests than an unlimited run in two consecutive windows, or (10) the session_amortization query speedup regresses >25% vs this file in two consecutive measurement windows.\",\n",
     );
     out.push_str(
         "  \"_measurement\": \"per-iteration nanoseconds; warm-up-calibrated samples of batched iterations, as in vendor/criterion (min/median/mean only)\",\n",
@@ -1059,7 +1064,12 @@ fn run_check(path: &str) -> i32 {
         (
             "engine graph_build_count",
             counter(&["engine", "graph_build_count"]),
-            2,
+            1,
+        ),
+        (
+            "engine graph_patch_count",
+            counter(&["engine", "graph_patch_count"]),
+            1,
         ),
         (
             "resumed completions",
@@ -1073,9 +1083,9 @@ fn run_check(path: &str) -> i32 {
         ),
     ];
     println!(
-        "scripted server session: prepare {:?}, graph builds {:?}, resumed {:?}, cancelled {:?} \
-         (gate requires 2/2/2/1)",
-        observed[0].1, observed[1].1, observed[2].1, observed[3].1,
+        "scripted server session: prepare {:?}, graph builds {:?}, graph patches {:?}, \
+         resumed {:?}, cancelled {:?} (gate requires 2/1/1/2/1)",
+        observed[0].1, observed[1].1, observed[2].1, observed[3].1, observed[4].1,
     );
     for (what, got, want) in observed {
         if got != Some(want) {
@@ -1197,12 +1207,13 @@ fn run_check(path: &str) -> i32 {
         let second = replay_library(&trace, &ambient, 1);
         let server = replay_server(&trace, &ambient, 1);
         println!(
-            "trace replay: {} events, {} prepares, {} graph builds, digest {} \
+            "trace replay: {} events, {} prepares, {} graph builds ({} patches), digest {} \
              (gate requires {TRACE_GATE_EVENTS}/{TRACE_GATE_PREPARES}/{TRACE_GATE_GRAPH_BUILDS}/{TRACE_GATE_DIGEST}); \
              server path digest {}",
             first.summary.events,
             first.prepares,
             first.graph_builds,
+            first.graph_patches,
             first.digest_hex(),
             server.digest_hex(),
         );
@@ -1243,21 +1254,28 @@ fn run_check(path: &str) -> i32 {
         let fresh = report.prepares - report.incremental_prepares;
         println!(
             "removal-heavy trace: {} updates ({} removals), {} opens, {} prepares ({} fresh), \
-             digest {} (gate requires fresh <= opens and digest {REMOVAL_GATE_DIGEST})",
+             {} graph builds, {} graph patches, digest {} (gate requires fresh <= opens, \
+             {REMOVAL_GATE_GRAPH_BUILDS} builds, {REMOVAL_GATE_GRAPH_PATCHES} patches and digest \
+             {REMOVAL_GATE_DIGEST})",
             report.summary.updates,
             report.summary.removals,
             report.summary.opens,
             report.prepares,
             fresh,
+            report.graph_builds,
+            report.graph_patches,
             report.digest_hex(),
         );
         if fresh > report.summary.opens
+            || report.graph_builds != REMOVAL_GATE_GRAPH_BUILDS
+            || report.graph_patches != REMOVAL_GATE_GRAPH_PATCHES
             || report.digest_hex() != REMOVAL_GATE_DIGEST
             || report.errors != 0
         {
             println!(
                 "PERF REGRESSION: the removal-heavy trace left the incremental path (more fresh \
-                 prepares than opens) or its answers drifted from the pinned digest"
+                 prepares than opens), its graph builds or patches drifted from the pinned \
+                 counts, or its answers drifted from the pinned digest"
             );
             return 1;
         }

@@ -232,8 +232,8 @@ fn print_human(report: &ReplayReport) {
         s.opens, s.queries, s.pages, s.updates, s.removals, s.closes
     );
     println!(
-        "engine     {} prepares ({} incremental), {} graph builds",
-        report.prepares, report.incremental_prepares, report.graph_builds
+        "engine     {} prepares ({} incremental), {} graph builds, {} graph patches",
+        report.prepares, report.incremental_prepares, report.graph_builds, report.graph_patches
     );
     println!(
         "results    {} completions, {} values, {} resumed, {} errors",

@@ -105,6 +105,9 @@ pub struct ReplayReport {
     pub incremental_prepares: usize,
     /// Derivation-graph builds the engine performed.
     pub graph_builds: usize,
+    /// Derivation graphs the engine patched from an ancestor revision's
+    /// graph instead of building.
+    pub graph_patches: usize,
     /// Order-insensitive result digest (see module docs).
     pub digest: u64,
     pub elapsed: Duration,
@@ -144,8 +147,8 @@ impl ReplayReport {
             s.events, s.opens, s.queries, s.pages, s.updates, s.removals, s.closes, s.points
         ));
         out.push_str(&format!(
-            "  \"engine\": {{\"prepares\": {}, \"graph_builds\": {}}},\n",
-            self.prepares, self.graph_builds
+            "  \"engine\": {{\"prepares\": {}, \"graph_builds\": {}, \"graph_patches\": {}}},\n",
+            self.prepares, self.graph_builds, self.graph_patches
         ));
         out.push_str(&format!(
             "  \"results\": {{\"completions\": {}, \"values\": {}, \"resumed\": {}, \"errors\": {}, \"digest\": \"{}\"}}",
@@ -398,6 +401,7 @@ fn report(
         prepares: stats.prepare_count,
         incremental_prepares: stats.incremental_prepare_count,
         graph_builds: stats.graph_build_count,
+        graph_patches: stats.graph_patch_count,
         digest: outcome.digest,
         elapsed,
         latency: outcome.latency,
@@ -725,6 +729,7 @@ mod tests {
         assert_eq!(lib.prepares, srv.prepares);
         assert_eq!(lib.incremental_prepares, srv.incremental_prepares);
         assert_eq!(lib.graph_builds, srv.graph_builds);
+        assert_eq!(lib.graph_patches, srv.graph_patches);
 
         // Re-running is counter- and digest-identical (workers = 1).
         let again = replay_library(&trace, &ambient, 1);

@@ -97,6 +97,41 @@
 //! interning; either way the hole types and their ids are those the
 //! `Ty`-keyed interning alone would assign.
 //!
+//! # Patching the graph
+//!
+//! Proof search runs on succinct types only (§3–4): declarations enter when
+//! `Select` realizes a pattern. So an edit that adds, removes or reweights
+//! declarations of succinct types Γ already has — a *σ-inert* edit, after
+//! which the prepared store and Γ are unchanged — changes a graph's edges
+//! and nothing else, provided exploration would replay identically: the
+//! same σ-level space ([`PreparedEnv::same_sigma_space`]), the same
+//! per-succinct-type weights (exploration's queue order) and the same weight
+//! monotonicity. [`DerivationGraph::patch`] then derives the edited
+//! environment's graph from this one. The σ-level part — goal nodes,
+//! variants, hole types, overlay environments — sits behind one `Arc` the
+//! patch shares; the patch allocates only a new edge slab. Each variant's
+//! new `Select` list is its kept declarations, renumbered and in order,
+//! followed by the added declarations of its σ class: kept edges keep their
+//! argument hole types, and added ones look theirs up in the hole table.
+//!
+//! Patches are exact or they do not happen. Hole-type ids follow pass 1's
+//! first-encounter order, so the build records which variant and which
+//! declaration first interned each hole type, and a patch falls back to a
+//! build (returns `None`) when a removed declaration interned a hole type,
+//! or when an added declaration's argument type was interned later than
+//! that declaration's first variant (or not at all): in either case a build
+//! would number the hole types differently.
+//!
+//! The completion bounds are shared with the patched graph when the edit
+//! provably leaves them unchanged: every added or down-weighted edge's
+//! candidate bound (its weight plus, per argument, the binder weight and the
+//! tail's bound, summed in the Dijkstra pass's order) is at least its node's
+//! bound, and every removed or up-weighted edge was either not tight or its
+//! node keeps another tight edge whose tails all bound strictly lower —
+//! strictly, because a tight zero-weight edge back into its own node
+//! supports nothing. Otherwise the Dijkstra pass reruns on the patched
+//! graph. Walk caches start empty; a patched graph shares no walk state.
+//!
 //! # Example
 //!
 //! ```
@@ -134,7 +169,7 @@ use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-use insynth_intern::{IdHashMap, Symbol};
+use insynth_intern::{IdHashMap, IdHashSet, Symbol};
 use insynth_lambda::{Param, Term, Ty};
 use insynth_succinct::{EnvId, ScratchStore, SuccinctTyId, TypeStore};
 
@@ -155,9 +190,13 @@ impl HoleTyId {
     }
 }
 
+/// Marks a declaration an edit removed in the index map
+/// [`DerivationGraph::patch`] takes.
+pub const DECL_REMOVED: u32 = u32::MAX;
+
 /// An interned hole type: a simple type together with everything the walk
 /// needs to know about it, computed once at graph build time.
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 struct HoleTy {
     /// The simple type itself (cloned into fresh binder parameters).
     ty: Ty,
@@ -173,25 +212,79 @@ struct HoleTy {
     arg_succs: Vec<SuccinctTyId>,
 }
 
-/// The graph's per-goal variants and declaration edges, packed into
-/// contiguous struct-of-arrays slabs with `u32` prefix offsets.
+/// The σ-level part of a derivation graph: everything exploration and
+/// pattern generation decide — goal nodes, their variants, the hole types and
+/// the overlay environments — and nothing that depends on which declarations
+/// realize a pattern. A graph patched for an edited environment shares it
+/// with the graph it was patched from (see *Patching the graph* in the
+/// module docs).
 ///
 /// A goal node's variants are the patterns of that goal (the succinct type an
-/// expansion head must have); a variant's edges are the `Select`-resolved
-/// declarations realizing it, each carrying its weight and the hole types of
-/// its uncurried arguments. Lambda binders in scope are matched against
-/// `variant_wanted` at walk time (they are not known at build time). Packing
-/// everything walk-adjacent into flat parallel vectors keeps the expansion
-/// loop on a handful of contiguous allocations instead of one `Vec<Vec<_>>`
-/// tree per node — the layout the cache-locality numbers in
-/// `BENCH_BASELINE.json` are measured against.
-#[derive(Debug, Default)]
-struct EdgeSlab {
+/// expansion head must have). Lambda binders in scope are matched against
+/// `variant_wanted` at walk time (they are not known at build time).
+#[derive(Debug)]
+struct GraphShape {
     /// Variants of node `v` occupy `node_offsets[v]..node_offsets[v + 1]`
     /// (length `node_count + 1`, first entry `0`).
     node_offsets: Vec<u32>,
     /// The succinct head type each variant matches, one entry per variant.
     variant_wanted: Vec<SuccinctTyId>,
+    /// The environment of each goal node.
+    node_envs: Vec<EnvId>,
+    goal_ids: IdHashMap<(EnvId, Symbol), u32>,
+    tys: Vec<HoleTy>,
+    ty_ids: HashMap<Ty, HoleTyId>,
+    /// Per hole type, the variant whose pass-1 visit interned it; the variant
+    /// count for a root type no declaration argument has.
+    ty_intro_variant: Vec<u32>,
+    /// Member lists of the query-local overlay environments only (raw ids
+    /// past the base store's), each sorted ascending; base environments are
+    /// resolved through the graph's `base`. The same `Arc` backs the
+    /// id-indexed table and the reverse-lookup keys.
+    scratch_envs: Vec<Arc<[SuccinctTyId]>>,
+    scratch_env_ids: HashMap<Arc<[SuccinctTyId]>, EnvId>,
+    init_env: EnvId,
+    root_ty: HoleTyId,
+    lambda_weight: Weight,
+}
+
+impl GraphShape {
+    fn node_count(&self) -> usize {
+        self.node_offsets.len().saturating_sub(1)
+    }
+
+    /// Variant indices of a goal node, in derivation order.
+    fn variants(&self, node: u32) -> std::ops::Range<usize> {
+        let node = node as usize;
+        self.node_offsets[node] as usize..self.node_offsets[node + 1] as usize
+    }
+
+    fn same_as(&self, other: &GraphShape) -> bool {
+        self.node_offsets == other.node_offsets
+            && self.variant_wanted == other.variant_wanted
+            && self.node_envs == other.node_envs
+            && self.goal_ids == other.goal_ids
+            && self.tys == other.tys
+            && self.ty_ids == other.ty_ids
+            && self.ty_intro_variant == other.ty_intro_variant
+            && self.scratch_envs == other.scratch_envs
+            && self.init_env == other.init_env
+            && self.root_ty == other.root_ty
+            && self.lambda_weight.value().to_bits() == other.lambda_weight.value().to_bits()
+    }
+}
+
+/// The graph's declaration edges, packed into contiguous struct-of-arrays
+/// slabs with `u32` prefix offsets.
+///
+/// A variant's edges are the `Select`-resolved declarations realizing it,
+/// each carrying its weight and the hole types of its uncurried arguments.
+/// Packing everything walk-adjacent into flat parallel vectors keeps the
+/// expansion loop on a handful of contiguous allocations instead of one
+/// `Vec<Vec<_>>` tree per node — the layout the cache-locality numbers in
+/// `BENCH_BASELINE.json` are measured against.
+#[derive(Debug)]
+struct EdgeSlab {
     /// Edges of variant `i` occupy `variant_offsets[i]..variant_offsets[i + 1]`
     /// (length `variant_count + 1`, first entry `0`).
     variant_offsets: Vec<u32>,
@@ -204,14 +297,23 @@ struct EdgeSlab {
 }
 
 impl EdgeSlab {
-    fn node_count(&self) -> usize {
-        self.node_offsets.len().saturating_sub(1)
+    /// An empty slab with room for `variants` variants and `edges` edges.
+    fn with_capacity(variants: usize, edges: usize) -> EdgeSlab {
+        let mut variant_offsets = Vec::with_capacity(variants + 1);
+        variant_offsets.push(0);
+        EdgeSlab {
+            variant_offsets,
+            edge_decl: Vec::with_capacity(edges),
+            edge_weight: Vec::with_capacity(edges),
+            edge_args: Vec::with_capacity(edges),
+        }
     }
 
-    /// Variant indices of a goal node, in derivation order.
-    fn variants(&self, node: u32) -> std::ops::Range<usize> {
-        let node = node as usize;
-        self.node_offsets[node] as usize..self.node_offsets[node + 1] as usize
+    /// Appends an edge to the variant being filled.
+    fn push(&mut self, decl: u32, weight: Weight, args: Arc<[HoleTyId]>) {
+        self.edge_decl.push(decl);
+        self.edge_weight.push(weight);
+        self.edge_args.push(args);
     }
 
     /// Edge indices of a variant, in `Select` order.
@@ -233,22 +335,16 @@ pub struct DerivationGraph {
     /// every graph cached for a program point shares the point's interned
     /// tables (and keeps them alive independently of any session).
     base: Arc<PreparedEnv>,
-    /// Goal nodes' variants and edges, in
-    /// [`PatternIndex`](insynth_succinct::PatternIndex) goal order, packed
-    /// into contiguous struct-of-arrays slabs.
+    /// Goal nodes (in [`PatternIndex`](insynth_succinct::PatternIndex) goal
+    /// order), their variants, hole types and overlay environments — shared
+    /// with every graph patched from this one.
+    shape: Arc<GraphShape>,
+    /// The variants' declaration edges, packed into contiguous
+    /// struct-of-arrays slabs.
     edges: EdgeSlab,
-    goal_ids: IdHashMap<(EnvId, Symbol), u32>,
-    tys: Vec<HoleTy>,
-    ty_ids: HashMap<Ty, HoleTyId>,
-    /// Member lists of the query-local overlay environments only (raw ids
-    /// past the base store's), each sorted ascending; base environments are
-    /// resolved through `base`. The same `Arc` backs the id-indexed table and
-    /// the reverse-lookup keys.
-    scratch_envs: Vec<Arc<[SuccinctTyId]>>,
-    scratch_env_ids: HashMap<Arc<[SuccinctTyId]>, EnvId>,
-    init_env: EnvId,
-    root_ty: HoleTyId,
-    lambda_weight: Weight,
+    /// Per hole type, the declaration whose first pass-1 visit interned it
+    /// ([`DECL_REMOVED`] for a root type no declaration argument has).
+    ty_intro_decl: Vec<u32>,
     /// `true` if every weight the walk can add is non-negative; only then are
     /// the completion-bound heuristic and branch-and-bound pruning admissible.
     monotone: bool,
@@ -294,8 +390,9 @@ type ExpansionCache = IdHashMap<(EnvId, u32), Arc<[CachedVariant]>>;
 struct Heuristic {
     /// `node_bound[node]` = completion lower bound of that goal node;
     /// [`Weight::INFINITY`] marks a goal no expansion can ever complete
-    /// (subsuming the walk's dead-hole detection).
-    node_bound: Vec<Weight>,
+    /// (subsuming the walk's dead-hole detection). Shared with a patched
+    /// graph whose edit provably leaves every bound unchanged.
+    node_bound: Arc<[Weight]>,
 }
 
 impl DerivationGraph {
@@ -328,6 +425,11 @@ impl DerivationGraph {
         // Hole types of each declaration's uncurried arguments, shared by
         // every edge that declaration heads.
         let mut decl_args: Vec<Option<Arc<[HoleTyId]>>> = vec![None; env.len()];
+        // Which variant and declaration interned each hole type: what a
+        // patch checks to prove the edited environment interns them in the
+        // same order.
+        let mut ty_intro_variant: Vec<u32> = Vec::new();
+        let mut ty_intro_decl: Vec<u32> = Vec::new();
 
         // Pass 1: interning.
         let index = patterns.index();
@@ -344,6 +446,7 @@ impl DerivationGraph {
             for pattern in index.patterns_of(goal_id) {
                 debug_assert_eq!(pattern.ret, ret);
                 let wanted = pattern.head;
+                let variant = variant_wanted.len() as u32;
                 for &decl_idx in prepared.select(wanted) {
                     if decl_args[decl_idx].is_none() {
                         let mut spine = &env.decls()[decl_idx].ty;
@@ -359,6 +462,8 @@ impl DerivationGraph {
                             })
                             .collect();
                         decl_args[decl_idx] = Some(args.into());
+                        ty_intro_variant.resize(holes.tys.len(), variant);
+                        ty_intro_decl.resize(holes.tys.len(), decl_idx as u32);
                     }
                 }
                 variant_wanted.push(wanted);
@@ -367,10 +472,12 @@ impl DerivationGraph {
         }
 
         // Pass 2: resolve every variant's `Select` list into packed edges.
-        let edges = resolve_edges(prepared, &decl_args, node_offsets, variant_wanted);
+        let edges = resolve_edges(prepared, &decl_args, &variant_wanted);
 
         let root_ty = holes.intern(store, goal);
         let HoleTyTable { tys, ty_ids, .. } = holes;
+        ty_intro_variant.resize(tys.len(), variant_wanted.len() as u32);
+        ty_intro_decl.resize(tys.len(), DECL_REMOVED);
 
         // Snapshot the overlay's environment table after all interning is
         // done, so the union lookup sees every environment the walk can
@@ -387,34 +494,333 @@ impl DerivationGraph {
             scratch_envs.push(members);
         }
 
-        let lambda_weight = weights.lambda_weight();
-        let monotone = prepared.weights_monotone(weights);
-
-        let mut graph = DerivationGraph {
-            base: Arc::clone(prepared),
-            edges,
+        let shape = GraphShape {
+            node_offsets,
+            variant_wanted,
+            node_envs,
             goal_ids,
             tys,
             ty_ids,
+            ty_intro_variant,
             scratch_envs,
             scratch_env_ids,
             init_env: prepared.init_env,
             root_ty,
-            lambda_weight,
-            monotone,
-            heuristic: None,
-            walk_memo: Mutex::new(WalkMemo::default()),
-            walk_expansions: Mutex::new(ExpansionCache::default()),
+            lambda_weight: weights.lambda_weight(),
         };
+        let mut graph = DerivationGraph::with_edges(
+            prepared,
+            Arc::new(shape),
+            edges,
+            ty_intro_decl,
+            prepared.weights_monotone(weights),
+        );
         if graph.monotone {
-            graph.heuristic = Some(compute_heuristic(&graph, &node_envs));
+            graph.heuristic = Some(compute_heuristic(&graph));
         }
         graph
     }
 
+    /// A graph over `shape` and `edges` with empty walk caches and no
+    /// heuristic yet.
+    fn with_edges(
+        prepared: &Arc<PreparedEnv>,
+        shape: Arc<GraphShape>,
+        edges: EdgeSlab,
+        ty_intro_decl: Vec<u32>,
+        monotone: bool,
+    ) -> DerivationGraph {
+        DerivationGraph {
+            base: Arc::clone(prepared),
+            shape,
+            edges,
+            ty_intro_decl,
+            monotone,
+            heuristic: None,
+            walk_memo: Mutex::new(WalkMemo::default()),
+            walk_expansions: Mutex::new(ExpansionCache::default()),
+        }
+    }
+
+    /// Derives the graph [`DerivationGraph::build`] would produce for `env`,
+    /// an edit of the environment this graph was built over, without
+    /// re-running exploration or pattern generation — or returns `None` when
+    /// that cannot be proven exact, and the caller must build.
+    ///
+    /// `prepared` is `env`'s preparation, and `old_to_new[i]` is the index
+    /// in `env` of this graph's declaration `i`, or [`DECL_REMOVED`]. A kept
+    /// declaration must be the same declaration, up to its weight, and the
+    /// kept ones must stay in order and come first in `env`; the rest of
+    /// `env` counts as added. A patch shares this graph's
+    /// goal nodes, variants, hole types and overlay environments, and
+    /// rebuilds only the edge slab; the completion bounds are reused when
+    /// the edit provably leaves them unchanged and recomputed otherwise. The
+    /// walk caches start empty. See *Patching the graph* in the module docs
+    /// for the conditions.
+    pub fn patch(
+        &self,
+        prepared: &Arc<PreparedEnv>,
+        env: &TypeEnv,
+        weights: &WeightConfig,
+        old_to_new: &[u32],
+    ) -> Option<DerivationGraph> {
+        let shape = &self.shape;
+        let monotone = prepared.weights_monotone(weights);
+        // Exploration and pattern generation must replay identically: the
+        // same σ-level space and the same queue order.
+        if !self.base.same_sigma_space(prepared)
+            || self.base.ty_weight != prepared.ty_weight
+            || monotone != self.monotone
+            || weights.lambda_weight() != shape.lambda_weight
+        {
+            return None;
+        }
+        let old_len = self.base.decl_succ.len();
+        let old_to_new = old_to_new.get(..old_len)?;
+        // Kept declarations come first, in their old order, with their old
+        // σ images; the σ classes whose declarations or weights changed are
+        // the only ones whose edges — and completion candidates — differ.
+        let mut kept = 0u32;
+        let mut changed: IdHashSet<SuccinctTyId> = IdHashSet::default();
+        for (old, &new) in old_to_new.iter().enumerate() {
+            let succ = self.base.decl_succ[old];
+            if new == DECL_REMOVED {
+                changed.insert(succ);
+                continue;
+            }
+            if new != kept || new as usize >= env.len() || prepared.decl_succ[new as usize] != succ
+            {
+                return None;
+            }
+            let (was, now) = (
+                self.base.decl_weight[old],
+                prepared.decl_weight[new as usize],
+            );
+            if was.value().to_bits() != now.value().to_bits() {
+                changed.insert(succ);
+            }
+            kept += 1;
+        }
+        let added = kept as usize..env.len();
+        changed.extend(added.clone().map(|decl| prepared.decl_succ[decl]));
+        // A removed declaration that interned a hole type would shift every
+        // later hole type's id.
+        let ty_intro_decl = self
+            .ty_intro_decl
+            .iter()
+            .map(|&decl| match decl {
+                DECL_REMOVED => Some(DECL_REMOVED),
+                decl => Some(old_to_new[decl as usize]).filter(|&new| new != DECL_REMOVED),
+            })
+            .collect::<Option<Vec<u32>>>()?;
+
+        // Each variant's new `Select` list is its kept declarations, in
+        // order, followed by the added declarations of its σ class: so the
+        // kept edges are renumbered and reweighted in place, and the added
+        // ones appended.
+        let old_edges = &self.edges;
+        let mut edges =
+            EdgeSlab::with_capacity(shape.variant_wanted.len(), old_edges.edge_decl.len());
+        let mut added_args: IdHashMap<u32, Arc<[HoleTyId]>> = IdHashMap::default();
+        for (variant, &wanted) in shape.variant_wanted.iter().enumerate() {
+            for e in old_edges.edges(variant) {
+                let new = old_to_new[old_edges.edge_decl[e] as usize];
+                if new != DECL_REMOVED {
+                    let args = Arc::clone(&old_edges.edge_args[e]);
+                    edges.push(new, prepared.decl_weight[new as usize], args);
+                }
+            }
+            if changed.contains(&wanted) {
+                let select = prepared.select(wanted);
+                for &decl in &select[select.partition_point(|&d| d < added.start)..] {
+                    let args = match added_args.get(&(decl as u32)) {
+                        Some(args) => Arc::clone(args),
+                        None => {
+                            let args = self.added_decl_args(prepared, env, decl, variant)?;
+                            added_args.insert(decl as u32, Arc::clone(&args));
+                            args
+                        }
+                    };
+                    edges.push(decl as u32, prepared.decl_weight[decl], args);
+                }
+            }
+            edges.variant_offsets.push(edges.edge_decl.len() as u32);
+        }
+
+        let mut graph = DerivationGraph::with_edges(
+            prepared,
+            Arc::clone(shape),
+            edges,
+            ty_intro_decl,
+            monotone,
+        );
+        if let Some(old) = &self.heuristic {
+            graph.heuristic = Some(
+                if self.bounds_survive(&graph.edges, old_to_new, &changed, old) {
+                    Heuristic {
+                        node_bound: Arc::clone(&old.node_bound),
+                    }
+                } else {
+                    compute_heuristic(&graph)
+                },
+            );
+        }
+        Some(graph)
+    }
+
+    /// The argument hole types of `decl`, a declaration an edit added, at
+    /// its first visit — which comes last in `variant`, its first variant.
+    /// `None` unless every argument's hole type exists and was interned no
+    /// later than this variant; otherwise a build would intern it here and
+    /// shift every later hole type's id.
+    fn added_decl_args(
+        &self,
+        prepared: &PreparedEnv,
+        env: &TypeEnv,
+        decl: usize,
+        variant: usize,
+    ) -> Option<Arc<[HoleTyId]>> {
+        let shape = &*self.shape;
+        let mut spine = &env.decls()[decl].ty;
+        prepared
+            .decl_arg_succs(decl)
+            .iter()
+            .map(|_| {
+                let Ty::Arrow(arg, rest) = spine else {
+                    unreachable!("the argument table follows the arrow spine")
+                };
+                spine = rest;
+                let id = *shape.ty_ids.get(arg)?;
+                (shape.ty_intro_variant[id.as_usize()] as usize <= variant).then_some(id)
+            })
+            .collect()
+    }
+
+    /// `true` when the completion bounds `old` of this graph are also the
+    /// bounds of the same shape with edges `new_edges` (old declaration `i`
+    /// is new declaration `old_to_new[i]`):
+    ///
+    /// * every added or down-weighted edge's candidate bound is at least its
+    ///   node's bound, so no bound falls; and
+    /// * every removed or up-weighted edge was either not tight, or its node
+    ///   keeps another tight edge whose tails all have strictly smaller
+    ///   bounds, so no bound rises. (Strictly: with zero weights, a tight
+    ///   edge whose tail ties its head can be part of a cycle that no longer
+    ///   completes.)
+    ///
+    /// Candidates are summed in the order the Dijkstra pass sums them, so
+    /// both tests compare exactly the values it would.
+    fn bounds_survive(
+        &self,
+        new_edges: &EdgeSlab,
+        old_to_new: &[u32],
+        changed: &IdHashSet<SuccinctTyId>,
+        old: &Heuristic,
+    ) -> bool {
+        let shape = &*self.shape;
+        let bound = &old.node_bound;
+        let mut memo: IdHashMap<(EnvId, HoleTyId), Option<u32>> = IdHashMap::default();
+        // An edge's candidate bound for its node, and whether all its tails
+        // bound strictly below `below`.
+        let mut candidate = |env: EnvId, weight: Weight, args: &[HoleTyId], below: Weight| {
+            let mut acc = weight;
+            let mut tails: Vec<Weight> = Vec::with_capacity(args.len());
+            for &a in args {
+                let tail = *memo
+                    .entry((env, a))
+                    .or_insert_with(|| self.resolve(env, a).map(|(_, node)| node));
+                let Some(tail) = tail else {
+                    return (Weight::INFINITY, false);
+                };
+                acc = acc.plus(self.hole_params_weight(a));
+                tails.push(bound[tail as usize]);
+            }
+            tails.sort_unstable();
+            let strict = tails.iter().all(|&b| b < below);
+            (tails.into_iter().fold(acc, Weight::plus), strict)
+        };
+        for node in 0..shape.node_count() {
+            let env = shape.node_envs[node];
+            let here = bound[node];
+            let tight = |c: Weight| here.is_finite() && c == here;
+            let mut needs_support = false;
+            for variant in shape.variants(node as u32) {
+                // Edges of unchanged σ classes are only renumbered.
+                if !changed.contains(&shape.variant_wanted[variant]) {
+                    continue;
+                }
+                let mut fresh = new_edges.edges(variant);
+                for e in self.edges.edges(variant) {
+                    let new = old_to_new[self.edges.edge_decl[e] as usize];
+                    let old_weight = self.edges.edge_weight[e];
+                    let new_weight = if new == DECL_REMOVED {
+                        None
+                    } else {
+                        let n = fresh.next().expect("kept edges stay in their variant");
+                        debug_assert_eq!(new_edges.edge_decl[n], new);
+                        Some(new_edges.edge_weight[n])
+                    };
+                    let args = &self.edges.edge_args[e];
+                    match new_weight {
+                        Some(w) if w == old_weight => {}
+                        Some(w) if w < old_weight => {
+                            if candidate(env, w, args, here).0 < here {
+                                return false;
+                            }
+                        }
+                        _ => {
+                            needs_support |= tight(candidate(env, old_weight, args, here).0);
+                        }
+                    }
+                }
+                for n in fresh {
+                    let args = &new_edges.edge_args[n];
+                    if candidate(env, new_edges.edge_weight[n], args, here).0 < here {
+                        return false;
+                    }
+                }
+            }
+            if needs_support {
+                let supported = shape.variants(node as u32).any(|variant| {
+                    new_edges.edges(variant).any(|n| {
+                        let args = &new_edges.edge_args[n];
+                        let (c, strict) = candidate(env, new_edges.edge_weight[n], args, here);
+                        tight(c) && strict
+                    })
+                });
+                if !supported {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// Byte-level identity against another graph: the goal nodes, variants,
+    /// edges (declarations, weight bits, argument hole types), hole types
+    /// and where they were interned, overlay environments, monotonicity and
+    /// the bits of every completion bound. The walk caches are not compared;
+    /// they never change what a walk emits. The patch property test holds
+    /// [`DerivationGraph::patch`] to it against a fresh build.
+    pub fn identical_to(&self, other: &DerivationGraph) -> bool {
+        let bits = |weights: &[Weight]| -> Vec<u64> {
+            weights.iter().map(|w| w.value().to_bits()).collect()
+        };
+        let bounds =
+            |graph: &DerivationGraph| graph.heuristic.as_ref().map(|h| bits(&h.node_bound));
+        (Arc::ptr_eq(&self.shape, &other.shape) || self.shape.same_as(&other.shape))
+            && self.edges.variant_offsets == other.edges.variant_offsets
+            && self.edges.edge_decl == other.edges.edge_decl
+            && bits(&self.edges.edge_weight) == bits(&other.edges.edge_weight)
+            && self.edges.edge_args == other.edges.edge_args
+            && self.ty_intro_decl == other.ty_intro_decl
+            && self.monotone == other.monotone
+            && bounds(self) == bounds(other)
+    }
+
     /// Number of goal nodes.
     pub fn node_count(&self) -> usize {
-        self.edges.node_count()
+        self.shape.node_count()
     }
 
     /// Number of declaration edges across all nodes.
@@ -424,12 +830,12 @@ impl DerivationGraph {
 
     /// Number of distinct hole types interned.
     pub fn hole_ty_count(&self) -> usize {
-        self.tys.len()
+        self.shape.tys.len()
     }
 
     /// The interned id of a hole type, if the graph knows it.
     pub fn hole_ty(&self, ty: &Ty) -> Option<HoleTyId> {
-        self.ty_ids.get(ty).copied()
+        self.shape.ty_ids.get(ty).copied()
     }
 
     /// `true` when the graph carries the A* completion-cost heuristic (i.e.
@@ -446,18 +852,22 @@ impl DerivationGraph {
     /// the admissibility tests pin.
     pub fn completion_bound(&self) -> Option<Weight> {
         let heuristic = self.heuristic.as_ref()?;
-        Some(match self.resolve(self.init_env, self.root_ty) {
-            Some((_, node)) => self
-                .hole_params_weight(self.root_ty)
-                .plus(heuristic.node_bound[node as usize]),
-            None => Weight::INFINITY,
-        })
+        Some(
+            match self.resolve(self.shape.init_env, self.shape.root_ty) {
+                Some((_, node)) => self
+                    .hole_params_weight(self.shape.root_ty)
+                    .plus(heuristic.node_bound[node as usize]),
+                None => Weight::INFINITY,
+            },
+        )
     }
 
     /// Weight of the lambda binders a hole of type `ty` introduces when it is
     /// expanded (one `lambda_weight` per uncurried argument).
     fn hole_params_weight(&self, ty: HoleTyId) -> Weight {
-        Weight::new(self.lambda_weight.value() * self.tys[ty.as_usize()].args.len() as f64)
+        Weight::new(
+            self.shape.lambda_weight.value() * self.shape.tys[ty.as_usize()].args.len() as f64,
+        )
     }
 
     /// The sorted member types of an environment: base-store environments are
@@ -469,7 +879,7 @@ impl DerivationGraph {
         if raw < split {
             self.base.store.env_types(env)
         } else {
-            &self.scratch_envs[raw - split]
+            &self.shape.scratch_envs[raw - split]
         }
     }
 
@@ -479,7 +889,7 @@ impl DerivationGraph {
         self.base
             .store
             .lookup_env(members)
-            .or_else(|| self.scratch_env_ids.get(members).copied())
+            .or_else(|| self.shape.scratch_env_ids.get(members).copied())
     }
 
     /// Resolves the goal of a hole of type `ty` in context environment `ctx`:
@@ -487,7 +897,7 @@ impl DerivationGraph {
     /// binders) and its node, or `None` if the goal is uninhabited — in which
     /// case no expression containing such a hole can ever complete.
     fn resolve(&self, ctx: EnvId, ty: HoleTyId) -> Option<(EnvId, u32)> {
-        let info = &self.tys[ty.as_usize()];
+        let info = &self.shape.tys[ty.as_usize()];
         let members = self.env_members(ctx);
         let env = if info
             .arg_succs
@@ -502,7 +912,7 @@ impl DerivationGraph {
             merged.dedup();
             self.lookup_env(&merged)?
         };
-        let node = *self.goal_ids.get(&(env, info.ret))?;
+        let node = *self.shape.goal_ids.get(&(env, info.ret))?;
         Some((env, node))
     }
 
@@ -597,25 +1007,16 @@ impl HoleTyTable {
 fn resolve_edges(
     prepared: &PreparedEnv,
     decl_args: &[Option<Arc<[HoleTyId]>>],
-    node_offsets: Vec<u32>,
-    variant_wanted: Vec<SuccinctTyId>,
+    variant_wanted: &[SuccinctTyId],
 ) -> EdgeSlab {
-    let mut slab = EdgeSlab {
-        node_offsets,
-        variant_offsets: Vec::with_capacity(variant_wanted.len() + 1),
-        ..EdgeSlab::default()
-    };
-    slab.variant_offsets.push(0);
-    for &wanted in &variant_wanted {
+    let mut slab = EdgeSlab::with_capacity(variant_wanted.len(), 0);
+    for &wanted in variant_wanted {
         for &decl_idx in prepared.select(wanted) {
-            slab.edge_decl.push(decl_idx as u32);
-            slab.edge_weight.push(prepared.decl_weight[decl_idx]);
-            slab.edge_args
-                .push(decl_args[decl_idx].clone().expect("interned in pass 1"));
+            let args = decl_args[decl_idx].clone().expect("interned in pass 1");
+            slab.push(decl_idx as u32, prepared.decl_weight[decl_idx], args);
         }
         slab.variant_offsets.push(slab.edge_decl.len() as u32);
     }
-    slab.variant_wanted = variant_wanted;
     slab
 }
 
@@ -624,20 +1025,21 @@ fn resolve_edges(
 /// and a hyperedge relaxes its head once every tail goal is finalized).
 /// Requires monotone (non-negative) weights — the caller only invokes it
 /// when [`DerivationGraph::monotone`] holds.
-fn compute_heuristic(graph: &DerivationGraph, node_envs: &[EnvId]) -> Heuristic {
-    let node_count = graph.edges.node_count();
+fn compute_heuristic(graph: &DerivationGraph) -> Heuristic {
+    let shape = &*graph.shape;
+    let node_count = shape.node_count();
 
     // Candidate binder types per succinct type: a binder only ever enters
     // scope as a hole's parameter, so its type is an interned hole type that
     // appears in some `args` list.
-    let mut is_param = vec![false; graph.tys.len()];
-    for info in &graph.tys {
+    let mut is_param = vec![false; shape.tys.len()];
+    for info in &shape.tys {
         for &a in info.args.iter() {
             is_param[a.as_usize()] = true;
         }
     }
     let mut binder_tys: IdHashMap<SuccinctTyId, Vec<HoleTyId>> = IdHashMap::default();
-    for (i, info) in graph.tys.iter().enumerate() {
+    for (i, info) in shape.tys.iter().enumerate() {
         if is_param[i] {
             binder_tys
                 .entry(info.succ)
@@ -663,8 +1065,8 @@ fn compute_heuristic(graph: &DerivationGraph, node_envs: &[EnvId]) -> Heuristic 
     let mut ready: Vec<(Weight, u32)> = Vec::new();
     let mut resolve_memo: IdHashMap<(EnvId, HoleTyId), Option<(EnvId, u32)>> = IdHashMap::default();
 
-    for (v, &env_v) in node_envs.iter().enumerate().take(node_count) {
-        for vi in graph.edges.variants(v as u32) {
+    for (v, &env_v) in shape.node_envs.iter().enumerate().take(node_count) {
+        for vi in shape.variants(v as u32) {
             let decl_edges = graph.edges.edges(vi).map(|e| {
                 (
                     graph.edges.edge_weight[e],
@@ -672,13 +1074,13 @@ fn compute_heuristic(graph: &DerivationGraph, node_envs: &[EnvId]) -> Heuristic 
                 )
             });
             let binder_edges = binder_tys
-                .get(&graph.edges.variant_wanted[vi])
+                .get(&shape.variant_wanted[vi])
                 .into_iter()
                 .flatten()
                 .map(|&t| {
                     (
-                        graph.lambda_weight,
-                        Arc::clone(&graph.tys[t.as_usize()].args),
+                        shape.lambda_weight,
+                        Arc::clone(&shape.tys[t.as_usize()].args),
                     )
                 });
             'edge: for (head_weight, args) in decl_edges.chain(binder_edges) {
@@ -740,7 +1142,9 @@ fn compute_heuristic(graph: &DerivationGraph, node_envs: &[EnvId]) -> Heuristic 
         }
     }
 
-    Heuristic { node_bound }
+    Heuristic {
+        node_bound: node_bound.into(),
+    }
 }
 
 /// One memoized pattern of a goal node in a concrete environment: the
@@ -1325,7 +1729,13 @@ impl WalkState {
         } else {
             None
         };
-        let root_goal = hole_goal(graph, heuristic, &mut memo, graph.init_env, graph.root_ty);
+        let root_goal = hole_goal(
+            graph,
+            heuristic,
+            &mut memo,
+            graph.shape.init_env,
+            graph.shape.root_ty,
+        );
         let mut queue: BinaryHeap<Entry> = BinaryHeap::new();
         queue.push(Entry {
             // An uninhabited root makes this ∞; the pop bails out before any
@@ -1338,8 +1748,8 @@ impl WalkState {
             parent: None,
             idx: 0,
             expr: Arc::new(PExpr::Hole {
-                ty: graph.root_ty,
-                ctx: graph.init_env,
+                ty: graph.shape.root_ty,
+                ctx: graph.shape.init_env,
             }),
             holes: 1,
             depth: 1,
@@ -1509,17 +1919,17 @@ impl WalkState {
             };
             let filled_cost = filled.cost;
 
-            let info = &graph.tys[hole_ty.as_usize()];
+            let info = &graph.shape.tys[hole_ty.as_usize()];
             let fresh: Vec<(Param, HoleTyId)> = info
                 .args
                 .iter()
                 .enumerate()
                 .map(|(i, &a)| {
-                    let ty = graph.tys[a.as_usize()].ty.clone();
+                    let ty = graph.shape.tys[a.as_usize()].ty.clone();
                     (Param::new(format!("var{}", scope.len() + i + 1), ty), a)
                 })
                 .collect();
-            let params_weight = Weight::new(graph.lambda_weight.value() * fresh.len() as f64);
+            let params_weight = Weight::new(graph.shape.lambda_weight.value() * fresh.len() as f64);
             let params: Arc<[(Param, HoleTyId)]> = fresh.into();
 
             // This pop's key becomes the pedigree of every successor it
@@ -1540,10 +1950,10 @@ impl WalkState {
             if !self.expansions.contains_key(&(node_env, node)) {
                 let memo = &mut self.memo;
                 let built: Arc<[CachedVariant]> = graph
-                    .edges
+                    .shape
                     .variants(node)
                     .map(|vi| CachedVariant {
-                        wanted: graph.edges.variant_wanted[vi],
+                        wanted: graph.shape.variant_wanted[vi],
                         edges: graph
                             .edges
                             .edges(vi)
@@ -1593,12 +2003,12 @@ impl WalkState {
                     .iter()
                     .copied()
                     .chain(params.iter())
-                    .filter(|(_, ty)| graph.tys[ty.as_usize()].succ == variant.wanted)
+                    .filter(|(_, ty)| graph.shape.tys[ty.as_usize()].succ == variant.wanted)
                     .map(|(param, ty)| {
                         (
                             Head::Binder(Arc::from(param.name.as_str())),
-                            graph.lambda_weight,
-                            Arc::clone(&graph.tys[ty.as_usize()].args),
+                            graph.shape.lambda_weight,
+                            Arc::clone(&graph.shape.tys[ty.as_usize()].args),
                             None,
                         )
                     });
@@ -2137,18 +2547,18 @@ mod tests {
             assert!(!ids[..i].contains(id), "hole types {i} and earlier collide");
         }
         assert_eq!(
-            graph.tys[ids[0].as_usize()].succ,
-            graph.tys[ids[1].as_usize()].succ
+            graph.shape.tys[ids[0].as_usize()].succ,
+            graph.shape.tys[ids[1].as_usize()].succ
         );
         assert_eq!(
-            graph.tys[ids[2].as_usize()].succ,
-            graph.tys[ids[3].as_usize()].succ
+            graph.shape.tys[ids[2].as_usize()].succ,
+            graph.shape.tys[ids[3].as_usize()].succ
         );
         let a = graph.hole_ty(&Ty::base("A")).unwrap();
         let b = graph.hole_ty(&Ty::base("B")).unwrap();
-        assert_eq!(&*graph.tys[ids[0].as_usize()].args, &[a, b]);
-        assert_eq!(&*graph.tys[ids[1].as_usize()].args, &[b, a]);
-        assert_eq!(&*graph.tys[ids[2].as_usize()].args, &[a, a]);
+        assert_eq!(&*graph.shape.tys[ids[0].as_usize()].args, &[a, b]);
+        assert_eq!(&*graph.shape.tys[ids[1].as_usize()].args, &[b, a]);
+        assert_eq!(&*graph.shape.tys[ids[2].as_usize()].args, &[a, a]);
 
         // Each `use*` edge carries the hole type of its own argument.
         for (name, id) in ["useAB", "useBA", "useAA", "useAC"].iter().zip(&ids) {
@@ -2175,6 +2585,150 @@ mod tests {
                 "{expected} missing from {terms:?}"
             );
         }
+    }
+
+    /// The graph for `goal` over `decls`, a patch of it for `edited` (whose
+    /// first declarations are the kept ones, `old_to_new` mapping the old
+    /// indices), and a fresh build over `edited`.
+    fn patched_and_fresh(
+        decls: Vec<Declaration>,
+        edited: Vec<Declaration>,
+        old_to_new: &[u32],
+        goal: Ty,
+    ) -> (DerivationGraph, Option<DerivationGraph>, DerivationGraph) {
+        let weights = WeightConfig::default();
+        let build = |prepared: &Arc<PreparedEnv>, env: &TypeEnv| {
+            let mut store = prepared.scratch();
+            let goal_succ = store.sigma(&goal);
+            let space = explore(prepared, &mut store, goal_succ, &ExploreLimits::default());
+            let patterns = generate_patterns(&mut store, &space);
+            DerivationGraph::build(prepared, &mut store, &patterns, env, &weights, &goal)
+        };
+        let env: TypeEnv = decls.into_iter().collect();
+        let prepared = Arc::new(PreparedEnv::prepare(&env, &weights));
+        let graph = build(&prepared, &env);
+        let edited: TypeEnv = edited.into_iter().collect();
+        let kept: Vec<usize> = (0..env.len())
+            .filter(|&i| old_to_new[i] != DECL_REMOVED)
+            .collect();
+        let next = Arc::new(PreparedEnv::prepare_incremental(
+            &prepared,
+            &kept,
+            &edited,
+            &weights,
+            PreparedEnv::fingerprint_of(&edited, &weights),
+        ));
+        let patched = graph.patch(&next, &edited, &weights, old_to_new);
+        let fresh = build(&Arc::new(PreparedEnv::prepare(&edited, &weights)), &edited);
+        (graph, patched, fresh)
+    }
+
+    fn bounds(graph: &DerivationGraph) -> &Arc<[Weight]> {
+        &graph.heuristic.as_ref().expect("monotone graph").node_bound
+    }
+
+    fn decl(name: &str, args: &[&str], ret: &str, weight: f64) -> Declaration {
+        let args = args.iter().map(|a| Ty::base(*a)).collect::<Vec<_>>();
+        let ty = if args.is_empty() {
+            Ty::base(ret)
+        } else {
+            Ty::fun(args, Ty::base(ret))
+        };
+        Declaration::new(name, ty, DeclKind::Local).with_weight(weight)
+    }
+
+    #[test]
+    fn patch_reuses_the_bounds_when_a_removed_tight_edge_keeps_a_strict_support() {
+        // `a` and `a2` are equally cheap leaves of `A`: dropping `a2` leaves
+        // `a` tight with no tails, so every bound stands.
+        let (graph, patched, fresh) = patched_and_fresh(
+            vec![
+                decl("a", &[], "A", 5.0),
+                decl("f", &["A"], "C", 3.0),
+                decl("a2", &[], "A", 5.0),
+            ],
+            vec![decl("a", &[], "A", 5.0), decl("f", &["A"], "C", 3.0)],
+            &[0, 1, DECL_REMOVED],
+            Ty::base("C"),
+        );
+        let patched = patched.expect("a σ-inert removal patches");
+        assert!(patched.identical_to(&fresh));
+        assert!(Arc::ptr_eq(bounds(&patched), bounds(&graph)));
+        assert!(Arc::ptr_eq(&patched.shape, &graph.shape));
+    }
+
+    #[test]
+    fn patch_recomputes_the_bounds_when_a_zero_weight_cycle_is_the_only_other_tight_edge() {
+        // `g` (5 + h(A) = 10) sets C's bound, and `z : C → C` at weight 0 is
+        // tight too — but only through C itself. Without `g`, C costs
+        // `f`'s 5 + 2·h(A) = 15, so the bounds must be recomputed. `f` keeps
+        // the σ class `{A} → C` at weight 5, and it, not `g`, interned the
+        // hole type `A`.
+        let keep = vec![
+            decl("a", &[], "A", 5.0),
+            decl("f", &["A", "A"], "C", 5.0),
+            decl("z", &["C"], "C", 0.0),
+        ];
+        let mut decls = keep.clone();
+        decls.insert(2, decl("g", &["A"], "C", 5.0));
+        let (graph, patched, fresh) =
+            patched_and_fresh(decls, keep, &[0, 1, DECL_REMOVED, 2], Ty::base("C"));
+        let patched = patched.expect("a σ-inert removal patches");
+        assert!(patched.identical_to(&fresh));
+        assert_ne!(bounds(&patched), bounds(&graph));
+        assert_eq!(patched.completion_bound(), Some(Weight::new(15.0)));
+    }
+
+    #[test]
+    fn patch_recomputes_the_bounds_when_an_added_edge_undercuts_one() {
+        // `g : A → C` joins the σ class `{A} → C` at its weight, 5, but takes
+        // one argument where `f` takes two: C's bound falls from 15 to 10.
+        let keep = vec![decl("a", &[], "A", 5.0), decl("f", &["A", "A"], "C", 5.0)];
+        let mut edited = keep.clone();
+        edited.push(decl("g", &["A"], "C", 5.0));
+        let (graph, patched, fresh) = patched_and_fresh(keep, edited, &[0, 1], Ty::base("C"));
+        let patched = patched.expect("a σ-inert add patches");
+        assert!(patched.identical_to(&fresh));
+        assert!(!patched.identical_to(&graph));
+        assert_eq!(patched.completion_bound(), Some(Weight::new(10.0)));
+    }
+
+    #[test]
+    fn patch_falls_back_when_an_added_argument_type_is_interned_later() {
+        let keep = vec![decl("a", &[], "A", 5.0), decl("f", &["A"], "C", 5.0)];
+        let mut edited = keep.clone();
+        edited.push(decl("f2", &["A"], "C", 9.0));
+        let (_, patched, fresh) = patched_and_fresh(keep.clone(), edited, &[0, 1], Ty::base("C"));
+        assert!(patched
+            .expect("`A` is interned before")
+            .identical_to(&fresh));
+
+        // σ(A → A → B) = σ(A → B), so `q` joins `e`'s σ class. Its variant,
+        // for the `Y` goal below the root, comes first, but the hole type
+        // `A → B` is interned later, by `r` at the root goal `X`. A build
+        // would intern it at `q` instead.
+        let a_ab = Ty::fun(vec![Ty::base("A"), Ty::base("A")], Ty::base("B"));
+        let ab = Ty::fun(vec![Ty::base("A")], Ty::base("B"));
+        let decls = vec![
+            decl("b", &[], "B", 5.0),
+            Declaration::new("e", Ty::fun(vec![a_ab], Ty::base("Y")), DeclKind::Local),
+            Declaration::new(
+                "r",
+                Ty::fun(vec![ab.clone()], Ty::base("X")),
+                DeclKind::Local,
+            ),
+            decl("m", &["Y"], "X", 5.0),
+        ];
+        let mut edited = decls.clone();
+        edited.push(Declaration::new(
+            "q",
+            Ty::fun(vec![ab], Ty::base("Y")),
+            DeclKind::Local,
+        ));
+        let (_, patched, fresh) = patched_and_fresh(decls, edited, &[0, 1, 2, 3], Ty::base("X"));
+        let ab_id = fresh.hole_ty(&Ty::fun(vec![Ty::base("A")], Ty::base("B")));
+        assert!(ab_id.is_some());
+        assert!(patched.is_none());
     }
 
     #[test]

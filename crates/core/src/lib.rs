@@ -52,7 +52,12 @@
 //! appended declarations — removals of declarations whose types the rest of
 //! the environment already interns included — and carrying over every
 //! cached graph an append or reweight provably cannot affect —
-//! byte-identical to a fresh preparation of the edited environment. An
+//! byte-identical to a fresh preparation of the edited environment. When
+//! the edit leaves the σ-level space alone (it adds, removes or reweights
+//! declarations of succinct types Γ already has), the edited point *patches*
+//! its parent's graphs on a cache miss ([`DerivationGraph::patch`]):
+//! exploration and pattern generation work on succinct types only, so they
+//! would replay identically, and only the `Select` edges change. An
 //! edited [`TypeEnv`] shares every untouched declaration with the one it
 //! came from, so the edit costs what the delta costs. [`rcn`] is the
 //! unoptimized reference implementation of Figure 4 used as a test oracle;
@@ -106,7 +111,9 @@ pub use genp::{generate_patterns, generate_patterns_naive, PatternSet};
 pub use gent::{
     generate_terms_unindexed, CancelToken, GenerateLimits, GenerateOutcome, RankedTerm,
 };
-pub use graph::{generate_terms, generate_terms_best_first, DerivationGraph, HoleTyId};
+pub use graph::{
+    generate_terms, generate_terms_best_first, DerivationGraph, HoleTyId, DECL_REMOVED,
+};
 pub use insynth_analysis::{
     Allowlist, AnalysisReport, DeclFacts, Diagnostic, DiagnosticKind, Severity,
 };

@@ -398,6 +398,21 @@ impl PreparedEnv {
             && self.decl_weight.iter().all(|w| w.is_non_negative())
     }
 
+    /// `true` when `self` and `other` hold the same σ-level space: the same
+    /// initial environment and equally many interned types and
+    /// environments. Meaningful between preparations where one's store
+    /// extends the other's (an incremental preparation and its base, or two
+    /// ends of a chain of them): then equal counts mean no type and no
+    /// environment was interned in between, so the stores are equal and the
+    /// edit between them is *σ-inert* — it changed which declarations
+    /// realize each succinct type, and their weights, but nothing
+    /// exploration or pattern generation work on besides `ty_weight`.
+    pub fn same_sigma_space(&self, other: &PreparedEnv) -> bool {
+        self.init_env == other.init_env
+            && self.store.ty_count() == other.store.ty_count()
+            && self.store.env_count() == other.store.env_count()
+    }
+
     /// A fresh per-query interning overlay over this environment's store.
     ///
     /// Every query needs to intern a few types of its own (the goal type, the

@@ -34,8 +34,12 @@
 //!   of the edited environment. Appends, reweights and removals of
 //!   declarations whose types the rest of the environment already interns
 //!   re-run σ only on the appended declarations; appends and reweights also
-//!   carry over every cached graph the change provably cannot affect. Other
-//!   removals and oversized deltas fall back to a fresh preparation.
+//!   carry over every cached graph the change provably cannot affect. An
+//!   edit that leaves the σ-level space alone does no graph work at all: a
+//!   graph-cache miss on the edited point patches the nearest ancestor
+//!   revision's graph ([`DerivationGraph::patch`]) instead of re-running
+//!   exploration and pattern generation. Other removals and oversized
+//!   deltas fall back to a fresh preparation.
 //!
 //! # Example
 //!
@@ -75,7 +79,7 @@
 use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
 use std::time::{Duration, Instant};
 
 use insynth_analysis::{analyze, AnalysisReport, DeclFacts};
@@ -87,7 +91,7 @@ use crate::decl::{Declaration, TypeEnv};
 use crate::explore::{explore, ExploreLimits};
 use crate::genp::generate_patterns;
 use crate::gent::{CancelToken, GenerateLimits, RankedTerm};
-use crate::graph::{lock_recovering, DerivationGraph, WalkState};
+use crate::graph::{lock_recovering, DerivationGraph, WalkState, DECL_REMOVED};
 use crate::prepare::PreparedEnv;
 use crate::synth::{PhaseTimings, Snippet, SynthesisConfig, SynthesisResult, SynthesisStats};
 
@@ -108,12 +112,13 @@ pub struct Engine {
 /// One coherent snapshot of the engine's counters and cache sizes, as
 /// returned by [`Engine::stats`].
 ///
-/// The five cumulative fields (σ runs, incremental σ runs, σ time, graph
-/// builds and analyses) count over the engine's lifetime (shared across
-/// clones); the three cache sizes are instantaneous. Comparing snapshots
-/// taken before and after a workload gives the cache economics of exactly
-/// that workload: `prepare` calls minus the `prepare_count` delta is the
-/// point-cache hit count, and likewise for graph builds.
+/// The six cumulative fields (σ runs, incremental σ runs, σ time, graph
+/// builds, graph patches and analyses) count over the engine's lifetime
+/// (shared across clones); the three cache sizes are instantaneous.
+/// Comparing snapshots taken before and after a workload gives the cache
+/// economics of exactly that workload: `prepare` calls minus the
+/// `prepare_count` delta is the point-cache hit count, and completions minus
+/// the graph build and patch deltas is the graph-cache hit count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct EngineStatsSnapshot {
     /// σ-lowering runs performed (full preparations plus incremental delta
@@ -124,8 +129,12 @@ pub struct EngineStatsSnapshot {
     pub incremental_prepare_count: usize,
     /// Cumulative wall time of all σ-lowering runs, in nanoseconds.
     pub prepare_time_ns: u64,
-    /// Derivation-graph builds across every session of this engine.
+    /// Derivation-graph builds (exploration, pattern generation and graph
+    /// build) across every session of this engine.
     pub graph_build_count: usize,
+    /// Derivation graphs patched from an ancestor revision's graph instead
+    /// of built (see [`Session::update`]).
+    pub graph_patch_count: usize,
     /// Prepared program points currently cached.
     pub cached_point_count: usize,
     /// Derivation-graph artifacts currently cached.
@@ -228,6 +237,13 @@ impl Engine {
         self.cache.graph_builds.load(Ordering::Relaxed)
     }
 
+    /// Number of derivation graphs patched from an ancestor revision's
+    /// graph after σ-inert edits, instead of built (see [`Session::update`]).
+    /// Patches are not counted in [`Engine::graph_build_count`].
+    pub fn graph_patch_count(&self) -> usize {
+        self.cache.graph_patches.load(Ordering::Relaxed)
+    }
+
     /// Number of prepared program points currently cached (bounded by
     /// [`SynthesisConfig::point_cache_capacity`]).
     pub fn cached_point_count(&self) -> usize {
@@ -288,6 +304,7 @@ impl Engine {
             incremental_prepare_count: self.cache.incremental_prepares.load(Ordering::Relaxed),
             prepare_time_ns: self.cache.prepare_time_ns.load(Ordering::Relaxed),
             graph_build_count: self.graph_build_count(),
+            graph_patch_count: self.graph_patch_count(),
             cached_point_count: self.cached_point_count(),
             cached_graph_count: self.cached_graph_count(),
             suspended_walk_count: self.suspended_walk_count(),
@@ -567,6 +584,22 @@ pub(crate) struct PreparedPoint {
     /// The [`Session::analyze`] report, computed at most once per point. Its
     /// diagnostic indices resolve against `env`.
     analysis: OnceLock<Arc<AnalysisReport>>,
+    /// The point this one was edited from, when the edit was σ-inert
+    /// ([`PreparedEnv::same_sigma_space`]): a graph-cache miss patches the
+    /// nearest ancestor's graph instead of building (see
+    /// [`Session::query_stream`]).
+    parent: Option<ParentLink>,
+}
+
+/// A σ-inert edit's link from the edited point back to the point it edited.
+/// Weak, so a chain of edits never keeps old revisions alive.
+#[derive(Debug)]
+struct ParentLink {
+    point: Weak<PreparedPoint>,
+    /// The ascending indices of the parent's declarations the edit kept: the
+    /// edited point's declaration `j < kept.len()` is the parent's
+    /// `kept[j]`, and the rest were added.
+    kept: Vec<usize>,
 }
 
 impl PreparedPoint {
@@ -576,6 +609,7 @@ impl PreparedPoint {
             prepared,
             prepare_time,
             analysis: OnceLock::new(),
+            parent: None,
         }
     }
 }
@@ -597,14 +631,18 @@ struct ArtifactKey {
 /// budgets: the derivation graph plus the statistics and timings of the
 /// phases that built it. Cached per [`ArtifactKey`] on the engine, so
 /// repeated queries — from any session addressing the same program point —
-/// replay the recorded stats and walk the same graph.
+/// replay the recorded stats and walk the same graph. Artifacts patched from
+/// an ancestor revision's keep its exploration and pattern statistics (the
+/// patch proves exploration replays identically); their explore time is zero
+/// and their pattern time is the patch's.
 #[derive(Debug)]
 pub(crate) struct QueryArtifacts {
     graph: DerivationGraph,
-    /// The program point the graph was built over. The graph's `Head::Decl`
-    /// edges are indices into *this* point's declaration list, so term
-    /// rendering always resolves against it — never against the querying
-    /// session's (possibly permuted, possibly delta-extended) environment.
+    /// The program point the graph was built (or patched) for. The graph's
+    /// `Head::Decl` edges are indices into *this* point's declaration list,
+    /// so term rendering always resolves against it — never against the
+    /// querying session's (possibly permuted, possibly delta-extended)
+    /// environment.
     point: Arc<PreparedPoint>,
     explore_time: Duration,
     patterns_time: Duration,
@@ -627,7 +665,9 @@ pub(crate) struct QueryArtifacts {
     /// walks live *on* the artifact, they inherit its lifecycle for free:
     /// evicting or dropping the artifact drops them, and the delta
     /// carry-over path carries them exactly when it carries the graph —
-    /// which it does only when the edit provably cannot reach it.
+    /// which it does only when the edit provably cannot reach it. A patched
+    /// artifact starts with none: the edit changed the graph's edges, so no
+    /// ancestor's frontier is valid on it.
     suspended: Mutex<SuspendedWalks>,
 }
 
@@ -783,6 +823,8 @@ pub(crate) struct ArtifactCache {
     prepare_time_ns: AtomicU64,
     /// Derivation-graph builds across every session of the engine.
     graph_builds: AtomicUsize,
+    /// Derivation graphs patched from an ancestor's instead of built.
+    graph_patches: AtomicUsize,
     /// Environment analyses performed (at most one per prepared point).
     analyses_run: AtomicUsize,
 }
@@ -797,6 +839,7 @@ impl ArtifactCache {
             incremental_prepares: AtomicUsize::new(0),
             prepare_time_ns: AtomicU64::new(0),
             graph_builds: AtomicUsize::new(0),
+            graph_patches: AtomicUsize::new(0),
             analyses_run: AtomicUsize::new(0),
         }
     }
@@ -926,6 +969,21 @@ impl ArtifactCache {
         Some(cell)
     }
 
+    /// The built artifacts cached under `key` for `point`, if any — a peek
+    /// that neither creates an entry nor refreshes its recency.
+    fn built_artifacts(
+        &self,
+        key: &ArtifactKey,
+        point: &Arc<PreparedPoint>,
+    ) -> Option<Arc<QueryArtifacts>> {
+        let graphs = self.read_graphs();
+        let slot = &graphs.get(key)?.value;
+        if !Arc::ptr_eq(&slot.point, point) && slot.point.env != point.env {
+            return None;
+        }
+        slot.cell.get().cloned()
+    }
+
     /// Removes `key` if it still maps to `cell` — used to drop
     /// wall-clock-truncated builds, which are a property of the moment and
     /// must not stay cached.
@@ -1018,7 +1076,9 @@ impl ArtifactCache {
 ///
 /// [`Session::update`] derives a session for an *edited* environment,
 /// re-running σ only on the changed declarations and carrying the cached
-/// graphs the edit provably cannot affect — see [`EnvDelta`].
+/// graphs the edit provably cannot affect; after a σ-inert edit, a graph the
+/// edited session misses is patched from the parent's — see [`EnvDelta`]
+/// and [`Session::update`].
 #[derive(Debug)]
 pub struct Session {
     point: Arc<PreparedPoint>,
@@ -1064,6 +1124,10 @@ impl Session {
         self.cache.graph_builds.fetch_add(1, Ordering::Relaxed);
     }
 
+    fn count_patch(&self) {
+        self.cache.graph_patches.fetch_add(1, Ordering::Relaxed);
+    }
+
     /// Answers one query against this program point.
     ///
     /// Does not re-run σ, and reuses the engine-cached derivation graph when
@@ -1079,7 +1143,12 @@ impl Session {
     /// walk pops them, in the same byte-identical best-first order.
     ///
     /// The stream resolves (or reuses) the cached derivation graph exactly
-    /// as `query` does, then either *resumes* a suspended walk parked by an
+    /// as `query` does. On a miss, a point reached by σ-inert edits (see
+    /// [`Session::update`]) follows its chain of parents to the nearest one
+    /// with a built, untruncated graph for the same goal and budgets, and
+    /// patches that graph ([`DerivationGraph::patch`]); without one, or when
+    /// the patch cannot be proven exact, it builds. The stream then either
+    /// *resumes* a suspended walk parked by an
     /// earlier stream under the same reconstruction budgets — popping only
     /// the delta — or starts a fresh walk. Dropping the stream parks its
     /// walk state back on the cached artifact (unless wall-clock-truncated),
@@ -1111,8 +1180,11 @@ impl Session {
             }
             Some((key, cell)) => {
                 let artifacts = Arc::clone(cell.get_or_init(|| {
-                    self.count_build();
-                    Arc::new(build_artifacts(&self.point, &config, &query.goal))
+                    let patched = self.patch_from_ancestor(&key, &config);
+                    Arc::new(patched.unwrap_or_else(|| {
+                        self.count_build();
+                        build_artifacts(&self.point, &config, &query.goal)
+                    }))
                 }));
                 if artifacts.time_truncated {
                     // A wall-clock-truncated exploration is a property of
@@ -1132,6 +1204,67 @@ impl Session {
         TermStream::open(artifacts, config, decls, distinct, query.cancel.clone())
     }
 
+    /// The artifacts for `key` patched from the nearest ancestor, along this
+    /// point's chain of σ-inert edits, that has a built, untruncated graph
+    /// for the same goal and budgets — or `None` when there is no such
+    /// ancestor or [`DerivationGraph::patch`] cannot prove the patch exact.
+    /// Exploration replays identically across the chain, so the patch keeps
+    /// the ancestor's exploration and pattern statistics; its reported
+    /// explore time is zero and its pattern time is the patch's.
+    fn patch_from_ancestor(
+        &self,
+        key: &ArtifactKey,
+        config: &SynthesisConfig,
+    ) -> Option<QueryArtifacts> {
+        let started = Instant::now();
+        // The edited points below the ancestor, each with its parent's size.
+        let mut hops: Vec<(Arc<PreparedPoint>, usize)> = Vec::new();
+        let mut point = Arc::clone(&self.point);
+        let ancestor = loop {
+            let parent = point.parent.as_ref()?.point.upgrade()?;
+            hops.push((point, parent.env.len()));
+            let parent_key = ArtifactKey {
+                fingerprint: parent.prepared.fingerprint,
+                ..key.clone()
+            };
+            let built = self.cache.built_artifacts(&parent_key, &parent);
+            if let Some(artifacts) = built.filter(|a| !a.explore_truncated && !a.time_truncated) {
+                break artifacts;
+            }
+            point = parent;
+        };
+        // Compose the hops' kept tables into the ancestor-to-here index map.
+        let mut old_to_new: Vec<u32> = (0..self.point.env.len() as u32).collect();
+        for (child, parent_len) in &hops {
+            let link = child.parent.as_ref().expect("every hop has a parent link");
+            let mut up = vec![DECL_REMOVED; *parent_len];
+            for (j, &idx) in link.kept.iter().enumerate() {
+                up[idx] = old_to_new[j];
+            }
+            old_to_new = up;
+        }
+        let graph = ancestor.graph.patch(
+            &self.point.prepared,
+            &self.point.env,
+            &config.weights,
+            &old_to_new,
+        )?;
+        self.count_patch();
+        Some(QueryArtifacts {
+            graph,
+            point: Arc::clone(&self.point),
+            explore_time: Duration::ZERO,
+            patterns_time: started.elapsed(),
+            reachability_terms: ancestor.reachability_terms,
+            requests_processed: ancestor.requests_processed,
+            patterns: ancestor.patterns,
+            explore_truncated: false,
+            time_truncated: false,
+            touched_rets: ancestor.touched_rets.clone(),
+            suspended: Mutex::new(SuspendedWalks::default()),
+        })
+    }
+
     /// Derives a session for the environment obtained by applying `delta` to
     /// this session's point — the edit-time path of the interactive loop.
     ///
@@ -1149,12 +1282,20 @@ impl Session {
     ///   ([`PreparedEnv::removal_is_inert`]): every removed declaration's
     ///   type was already interned by an earlier declaration, and its σ
     ///   image keeps a surviving declaration — the common edit of dropping
-    ///   a local whose type the environment already has. Cached graphs are
-    ///   not carried across a removal (declaration indices shift). Any
-    ///   other removal, and deltas larger than a quarter of the environment
-    ///   (removed declarations count), fall back to a fresh preparation:
-    ///   such a removal shifts the interning sequence, so nothing can be
-    ///   proven bit-identical cheaply;
+    ///   a local whose type the environment already has. Any other removal,
+    ///   and deltas larger than a quarter of the environment (removed
+    ///   declarations count), fall back to a fresh preparation: such a
+    ///   removal shifts the interning sequence, so nothing can be proven
+    ///   bit-identical cheaply;
+    /// * an incremental edit that is also *σ-inert*
+    ///   ([`PreparedEnv::same_sigma_space`]: it interned no type and no
+    ///   environment — adding, removing or reweighting locals of types Γ
+    ///   already has) links the edited point to this one and does no graph
+    ///   work. Graphs are not carried across a removal (declaration indices
+    ///   shift); instead, a graph-cache miss on the edited point *patches*
+    ///   the nearest ancestor's graph for the same goal and budgets
+    ///   ([`DerivationGraph::patch`]) when exploration would replay
+    ///   identically, and builds otherwise;
     /// * a no-op delta (or one whose result is already cached) returns a
     ///   session sharing the existing point outright. As in
     ///   [`Engine::prepare`], only the identical declaration list is shared:
@@ -1205,7 +1346,18 @@ impl Session {
         };
         let prepare_time = started.elapsed();
         self.cache.record_prepare(incremental, prepare_time);
-        let point = Arc::new(PreparedPoint::new(new_env, prepared, prepare_time));
+        // A σ-inert edit does no graph work here: it only remembers where it
+        // came from, so a graph-cache miss on the edited point can patch the
+        // parent's graph.
+        let parent =
+            (incremental && prepared.same_sigma_space(&old_point.prepared)).then(|| ParentLink {
+                point: Arc::downgrade(old_point),
+                kept,
+            });
+        let point = Arc::new(PreparedPoint {
+            parent,
+            ..PreparedPoint::new(new_env, prepared, prepare_time)
+        });
 
         if incremental && removed == 0 && self.config.graph_cache_capacity > 0 {
             // Selective carry-over: a cached graph survives the edit iff a
@@ -1269,11 +1421,10 @@ impl Session {
     }
 
     /// Number of derivation-graph builds this session has performed — cache
-    /// misses plus non-cacheable builds (wall-clock-truncated explorations,
-    /// keys held by a different declaration list). The difference between queries issued and
-    /// builds performed is the cache's hit count for this session. (The
-    /// engine-wide total, across sessions, is
-    /// [`Engine::graph_build_count`].)
+    /// misses no ancestor's graph could be patched for, plus non-cacheable
+    /// builds (wall-clock-truncated explorations, keys held by a different
+    /// declaration list). (The engine-wide totals, across sessions, are
+    /// [`Engine::graph_build_count`] and [`Engine::graph_patch_count`].)
     pub fn graph_build_count(&self) -> usize {
         self.graph_builds.load(Ordering::Relaxed)
     }

@@ -511,6 +511,7 @@ impl Server {
                 Json::object([
                     ("prepare_count", Json::from(engine.prepare_count)),
                     ("graph_build_count", Json::from(engine.graph_build_count)),
+                    ("graph_patch_count", Json::from(engine.graph_patch_count)),
                     ("cached_point_count", Json::from(engine.cached_point_count)),
                     ("cached_graph_count", Json::from(engine.cached_graph_count)),
                     (
@@ -541,7 +542,10 @@ impl Server {
                     ),
                     (
                         "graph_cache_hit_rate",
-                        hit_rate(completions, engine.graph_build_count as u64),
+                        hit_rate(
+                            completions,
+                            (engine.graph_build_count + engine.graph_patch_count) as u64,
+                        ),
                     ),
                     (
                         "walk_resume_rate",

@@ -132,6 +132,7 @@ fn scripted_session_is_byte_stable_and_honors_the_protocol() {
     let engine = field(&responses[3], &["result", "engine"]);
     assert_eq!(field(engine, &["prepare_count"]).as_u64(), Some(1));
     assert_eq!(field(engine, &["graph_build_count"]).as_u64(), Some(1));
+    assert_eq!(field(engine, &["graph_patch_count"]).as_u64(), Some(0));
     assert_eq!(field(engine, &["suspended_walk_count"]).as_u64(), Some(1));
 
     // 5: env/update — same session id, new fingerprint, three decls.
@@ -188,9 +189,15 @@ fn scripted_session_is_byte_stable_and_honors_the_protocol() {
         field(result, &["engine", "prepare_count"]).as_u64(),
         Some(2)
     );
+    // The update adds a second `A` local, a σ-inert edit: the edited point
+    // patches the first graph instead of building its own.
     assert_eq!(
         field(result, &["engine", "graph_build_count"]).as_u64(),
-        Some(2)
+        Some(1)
+    );
+    assert_eq!(
+        field(result, &["engine", "graph_patch_count"]).as_u64(),
+        Some(1)
     );
     assert_eq!(field(result, &["completions", "count"]).as_u64(), Some(4));
     assert_eq!(field(result, &["completions", "values"]).as_u64(), Some(9));

@@ -71,8 +71,9 @@
 //!
 //! // The user edits: update by delta instead of re-preparing from scratch.
 //! // σ runs only on the changed declarations, cached graphs the edit cannot
-//! // affect are carried over, and results are byte-identical to a fresh
-//! // prepare of the edited environment.
+//! // affect are carried over, a graph the edit does affect is patched from
+//! // the parent's when the edit adds no new succinct type, and results are
+//! // byte-identical to a fresh prepare of the edited environment.
 //! let edited = session.update(
 //!     &EnvDelta::new()
 //!         .add(Declaration::simple("path", Ty::base("String"), DeclKind::Local))
@@ -144,7 +145,12 @@
 //! parks at most four walk states (LRU, keyed by reconstruction budgets),
 //! they ride along with `Session::update`'s delta carry-over exactly when
 //! the edit provably cannot reach their graph, and they are dropped — never
-//! stale-resumed — otherwise.
+//! stale-resumed — otherwise. After an edit that leaves the σ-level space
+//! alone (adding, removing or reweighting declarations of succinct types
+//! the environment already has), a graph-cache miss on the edited point
+//! patches the nearest ancestor revision's graph for the same goal instead
+//! of re-running exploration and pattern generation
+//! (`DerivationGraph::patch`); a patched graph starts with no parked walks.
 //!
 //! # Scaling the environment axis
 //!

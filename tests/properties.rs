@@ -31,7 +31,14 @@
 //! * resumable streaming — `query(n=a)` then `query(n=a+b)` on one session
 //!   (which resumes the suspended walk, popping only the delta) answers
 //!   byte-identically to a one-shot `query(n=a+b)` on a cold engine, in both
-//!   walk regimes.
+//!   walk regimes,
+//! * graph patching — after a chain of σ-inert edits (adds, inert removals
+//!   and reweights, with weight ties and zero weights), a graph patched from
+//!   the original one is `identical_to` a fresh build and walks to the same
+//!   terms, and an edited session answers like a fresh engine; the patch
+//!   falls back to a build under a negative override, when a removed
+//!   declaration interned a hole type, and when a reweight changes a σ
+//!   class's weight.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -39,12 +46,13 @@ use proptest::prelude::*;
 use insynth::core::{
     explore, generate_patterns, generate_terms, generate_terms_unindexed, is_inhabited_ref, rcn,
     DeclKind, Declaration, DerivationGraph, Engine, EnvDelta, ExploreLimits, GenerateLimits,
-    PreparedEnv, Query, SynthesisConfig, SynthesisResult, TypeEnv, WeightConfig,
+    PreparedEnv, Query, SynthesisConfig, SynthesisResult, TypeEnv, WeightConfig, DECL_REMOVED,
 };
 use insynth::lambda::{check, Term, Ty};
 use insynth::provers::{forward, g4ip, inhabitation_query, ProverLimits};
 use insynth::succinct::SuccinctStore;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 const BASE_TYPES: &[&str] = &["A", "B", "C", "D"];
 
@@ -112,6 +120,80 @@ fn arb_goal() -> impl Strategy<Value = Ty> {
         )
             .prop_map(|(a, b)| Ty::fun(vec![Ty::base(a)], Ty::base(b))),
     ]
+}
+
+/// Explores, generates patterns and builds the derivation graph for `goal`
+/// over `prepared`, with no exploration budget.
+fn build_graph(prepared: &Arc<PreparedEnv>, env: &TypeEnv, goal: &Ty) -> DerivationGraph {
+    use insynth::succinct::TypeStore;
+
+    let weights = WeightConfig::default();
+    let mut store = prepared.scratch();
+    let goal_succ = store.sigma(goal);
+    let limits = ExploreLimits {
+        max_requests: usize::MAX,
+        time_limit: None,
+    };
+    let space = explore(prepared, &mut store, goal_succ, &limits);
+    let patterns = generate_patterns(&mut store, &space);
+    DerivationGraph::build(prepared, &mut store, &patterns, env, &weights, goal)
+}
+
+/// The first 24 terms a depth-3 walk over `graph` emits, with weight bits.
+fn walked(graph: &DerivationGraph, env: &TypeEnv) -> Vec<(String, u64)> {
+    let limits = GenerateLimits {
+        max_depth: Some(3),
+        ..GenerateLimits::default()
+    };
+    generate_terms(graph, env, 24, &limits)
+        .terms
+        .iter()
+        .map(|r| (r.term.to_string(), r.weight.value().to_bits()))
+        .collect()
+}
+
+/// One σ-inert edit of `env` (prepared as `prepared`), chosen by
+/// `(kind, idx, weight)`: an add copying a declaration's type, an inert
+/// removal, or a reweight — with weights drawn so that ties (with the copied
+/// or a neighbouring declaration) and zeros are common. Returns the delta,
+/// the edited list and the kept indices, or `None` for a removal that is not
+/// inert.
+fn inert_edit(
+    env: &TypeEnv,
+    prepared: &PreparedEnv,
+    step: usize,
+    (kind, idx, weight): (u8, usize, u8),
+) -> Option<(EnvDelta, TypeEnv, Vec<usize>)> {
+    let i = idx % env.len();
+    let tie = |j: usize| prepared.decl_weight[j % env.len()].value();
+    let pick = |w: u8, tied: f64| match w {
+        0 => Some(0.0),
+        1 => Some(tied),
+        2 => Some(tied + 7.5),
+        _ => None,
+    };
+    let kept: Vec<usize> = (0..env.len()).filter(|&j| kind != 1 || j != i).collect();
+    let delta = match kind {
+        0 => {
+            let mut decl = Declaration::simple(
+                format!("add{step}"),
+                env.decls()[i].ty.clone(),
+                DeclKind::Local,
+            );
+            decl.weight_override = pick(weight, tie(i));
+            EnvDelta::new().add(decl)
+        }
+        1 if prepared.removal_is_inert(&kept) => {
+            EnvDelta::new().remove(env.decls()[i].name.clone())
+        }
+        1 => return None,
+        _ => {
+            let w = pick(weight, tie(i + 1)).unwrap_or(1.0);
+            EnvDelta::new().reweight(env.decls()[i].name.clone(), w)
+        }
+    };
+    let edited = delta.apply(env);
+    Some((delta, edited, kept))
 }
 
 proptest! {
@@ -644,6 +726,89 @@ proptest! {
     }
 }
 
+proptest! {
+    // Patching needs chains whose graphs keep their shape, which random
+    // edits produce less often than not: more cases than the block above.
+    #![proptest_config(ProptestConfig { cases: 160, rng_seed: 0x0001_5eed, ..ProptestConfig::default() })]
+
+    #[test]
+    fn patched_graphs_are_identical_to_fresh_builds_after_sigma_inert_edit_chains(
+        env in arb_env(),
+        goal in arb_goal(),
+        leaves in 0usize..16,
+        copies in vec(0usize..8, 0..4),
+        edits in vec((0u8..3, 0usize..16, 0u8..4), 1..4),
+    ) {
+        // Leaves make goals inhabited, so graphs have nodes and edges to
+        // patch; copies repeat a declaration's type, so removing one is inert
+        // and weight ties are common.
+        let originals = env.len();
+        let mut env = env;
+        for (bit, base) in BASE_TYPES.iter().enumerate() {
+            if leaves & (1 << bit) != 0 {
+                env.push(Declaration::simple(format!("leaf{base}"), Ty::base(*base), DeclKind::Class));
+            }
+        }
+        for (i, idx) in copies.iter().enumerate() {
+            let ty = env.decls()[idx % originals].ty.clone();
+            env.push(Declaration::simple(format!("copy{i}"), ty, DeclKind::Local));
+        }
+        let weights = WeightConfig::default();
+        let base = Arc::new(PreparedEnv::prepare(&env, &weights));
+        let graph = build_graph(&base, &env, &goal);
+
+        let config = SynthesisConfig::unbounded().with_max_depth(3);
+        let engine = Engine::new(config.clone());
+        let mut session = engine.prepare(&env);
+        let query = Query::new(goal.clone()).with_n(24);
+        let _ = session.query(&query);
+
+        // Apply the chain with no query in between, composing the index map
+        // from the graph's declarations to the edited list's.
+        let (mut current, mut prepared) = (env.clone(), Arc::clone(&base));
+        let mut old_to_new: Vec<u32> = (0..env.len() as u32).collect();
+        for (step, edit) in edits.into_iter().enumerate() {
+            let Some((delta, edited, kept)) = inert_edit(&current, &prepared, step, edit) else {
+                continue;
+            };
+            let fingerprint = PreparedEnv::fingerprint_of(&edited, &weights);
+            let next = Arc::new(PreparedEnv::prepare_incremental(
+                &prepared, &kept, &edited, &weights, fingerprint,
+            ));
+            prop_assert!(next.same_sigma_space(&prepared), "the edit is σ-inert");
+            let mut renumber = vec![DECL_REMOVED; current.len()];
+            for (new, &old) in kept.iter().enumerate() {
+                renumber[old] = new as u32;
+            }
+            for slot in &mut old_to_new {
+                if *slot != DECL_REMOVED {
+                    *slot = renumber[*slot as usize];
+                }
+            }
+            session = session.update(&delta);
+            current = edited;
+            prepared = next;
+        }
+
+        let fresh_prepared = Arc::new(PreparedEnv::prepare(&current, &weights));
+        prop_assert!(prepared.identical_to(&fresh_prepared));
+        let fresh = build_graph(&fresh_prepared, &current, &goal);
+        if let Some(patched) = graph.patch(&prepared, &current, &weights, &old_to_new) {
+            prop_assert!(patched.identical_to(&fresh));
+            prop_assert_eq!(walked(&patched, &current), walked(&fresh, &current));
+        }
+
+        // The session walks the same chain: one build for the warm-up, and
+        // at most one build or patch for the edited point.
+        let from_session = session.query(&query);
+        let stats = engine.stats();
+        prop_assert!(stats.graph_build_count + stats.graph_patch_count <= 2);
+        let from_fresh = Engine::new(config).prepare(&current).query(&query);
+        prop_assert_eq!(result_key(&from_session), result_key(&from_fresh));
+        prop_assert_eq!(stats_key(&from_session), stats_key(&from_fresh));
+    }
+}
+
 /// Deterministic companion to the frontier proptest: a frontier cap of one
 /// entry on the `a : A, s : A → A` chain forces truncation immediately, and
 /// the walk still drains what it managed to enqueue.
@@ -689,4 +854,98 @@ fn frontier_cap_of_one_truncates_but_still_emits_enqueued_terms() {
     let reference_rendered: Vec<String> =
         reference.terms.iter().map(|r| r.term.to_string()).collect();
     assert_eq!(reference_rendered, rendered);
+}
+
+/// Queries `goal` on `env`, applies `delta` and queries again; returns the
+/// engine's graph builds and patches and whether the edited session
+/// answered like a fresh engine.
+fn edit_and_requery(env: TypeEnv, delta: EnvDelta, goal: Ty) -> (usize, usize, bool) {
+    let config = SynthesisConfig::unbounded().with_max_depth(4);
+    let engine = Engine::new(config.clone());
+    let session = engine.prepare(&env);
+    let query = Query::new(goal).with_n(10);
+    let _ = session.query(&query);
+    let updated = session.update(&delta);
+    assert_eq!(
+        engine.stats().incremental_prepare_count,
+        1,
+        "the edit stays incremental"
+    );
+    assert!(updated.prepared().same_sigma_space(session.prepared()));
+    let edited = updated.query(&query);
+    let fresh = Engine::new(config)
+        .prepare(&delta.apply(&env))
+        .query(&query);
+    let stats = engine.stats();
+    (
+        stats.graph_build_count,
+        stats.graph_patch_count,
+        result_key(&edited) == result_key(&fresh),
+    )
+}
+
+fn local(name: &str, ty: Ty) -> Declaration {
+    Declaration::simple(name, ty, DeclKind::Local)
+}
+
+#[test]
+fn a_negative_override_builds_instead_of_patching() {
+    // Reweighting `s2` below zero makes the weights non-monotone: the A*
+    // heuristic goes, so the graph is rebuilt.
+    let a_to_a = Ty::fun(vec![Ty::base("A")], Ty::base("A"));
+    let env: TypeEnv = vec![
+        local("a", Ty::base("A")),
+        local("s", a_to_a.clone()),
+        local("s2", a_to_a),
+    ]
+    .into_iter()
+    .collect();
+    let delta = EnvDelta::new().reweight("s2", -1.0);
+    assert_eq!(edit_and_requery(env, delta, Ty::base("A")), (2, 0, true));
+}
+
+#[test]
+fn removing_a_declaration_that_interned_a_hole_type_builds_instead_of_patching() {
+    // `k` interns every σ type first, so removing `d` is σ-inert and `d2`
+    // keeps its σ class — but `d` is the first `{A} → C` declaration the
+    // graph visits, so it interned the hole type `A`.
+    let a_to_c = Ty::fun(vec![Ty::base("A")], Ty::base("C"));
+    let env: TypeEnv = vec![
+        local("k", Ty::fun(vec![a_to_c.clone()], Ty::base("D"))),
+        local("a", Ty::base("A")),
+        local("d", a_to_c.clone()),
+        local("d2", a_to_c),
+    ]
+    .into_iter()
+    .collect();
+    let delta = EnvDelta::new().remove("d");
+    assert_eq!(edit_and_requery(env, delta, Ty::base("C")), (2, 0, true));
+}
+
+#[test]
+fn a_reweight_that_changes_a_sigma_class_weight_builds_instead_of_patching() {
+    // `name` is one of two weight-5 `String` locals; at weight 1 it lowers
+    // the class weight exploration orders its queue by.
+    let env: TypeEnv = vec![
+        local("name", Ty::base("String")),
+        local("path", Ty::base("String")),
+        Declaration::simple(
+            "mkFile",
+            Ty::fun(vec![Ty::base("String")], Ty::base("File")),
+            DeclKind::Imported,
+        ),
+    ]
+    .into_iter()
+    .collect();
+    let raised = EnvDelta::new().reweight("path", 20.0);
+    assert_eq!(
+        edit_and_requery(env.clone(), raised, Ty::base("File")),
+        (1, 1, true),
+        "a reweight that keeps the class weight patches"
+    );
+    let lowered = EnvDelta::new().reweight("name", 1.0);
+    assert_eq!(
+        edit_and_requery(env, lowered, Ty::base("File")),
+        (2, 0, true)
+    );
 }

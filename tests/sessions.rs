@@ -449,8 +449,10 @@ fn reaching_edit_drops_the_suspended_walk() {
     assert_eq!(engine.graph_build_count(), 1);
     assert_eq!(engine.suspended_walk_count(), 1);
 
-    // A new producer of the walk's goal type reaches the graph: the edited
-    // session must rebuild and must NOT resume the stale frontier.
+    // A new producer of the walk's goal type reaches the graph. Its σ class
+    // `{A} → A` is already in Γ (`s`), so the edit is σ-inert: the edited
+    // session patches the cached graph instead of rebuilding it, and must
+    // NOT resume the stale frontier.
     let delta = EnvDelta::new().add(Declaration::simple(
         "t",
         Ty::fun(vec![Ty::base("A")], Ty::base("A")),
@@ -460,8 +462,13 @@ fn reaching_edit_drops_the_suspended_walk() {
     let after = updated.query(&query);
     assert_eq!(
         engine.graph_build_count(),
-        2,
-        "the reaching edit forces a rebuild"
+        1,
+        "the σ-inert edit builds nothing"
+    );
+    assert_eq!(
+        engine.graph_patch_count(),
+        1,
+        "it patches the parent's graph"
     );
     assert!(
         !after.stats.resumed,
@@ -478,6 +485,46 @@ fn reaching_edit_drops_the_suspended_walk() {
     );
 
     // The original session's walk is untouched and still resumes.
+    let again = session.query(&query);
+    assert!(again.stats.resumed);
+    assert_eq!(fingerprint(&again), fingerprint(&before));
+}
+
+#[test]
+fn type_interning_reaching_edit_rebuilds_and_drops_the_suspended_walk() {
+    let engine = Engine::new(SynthesisConfig::default());
+    let session = engine.prepare(&tiny_env());
+    let query = Query::new(Ty::base("A")).with_n(5);
+    let before = session.query(&query);
+    assert_eq!(engine.graph_build_count(), 1);
+
+    // `b : B` and `u : B -> A` intern `B` and `{B} -> A`: the edit changes
+    // the σ-level space, so the graph is rebuilt, not patched.
+    let delta = EnvDelta::new()
+        .add(Declaration::simple("b", Ty::base("B"), DeclKind::Local))
+        .add(Declaration::simple(
+            "u",
+            Ty::fun(vec![Ty::base("B")], Ty::base("A")),
+            DeclKind::Local,
+        ));
+    let updated = session.update(&delta);
+    let after = updated.query(&query);
+    assert_eq!(
+        engine.graph_build_count(),
+        2,
+        "the reaching edit forces a rebuild"
+    );
+    assert_eq!(engine.graph_patch_count(), 0);
+    assert!(
+        !after.stats.resumed,
+        "no stale resume across a reaching edit"
+    );
+    let fresh = Engine::new(SynthesisConfig::default())
+        .prepare(&delta.apply(session.env()))
+        .query(&query);
+    assert_eq!(fingerprint(&after), fingerprint(&fresh));
+    assert_ne!(fingerprint(&after), fingerprint(&before));
+
     let again = session.query(&query);
     assert!(again.stats.resumed);
     assert_eq!(fingerprint(&again), fingerprint(&before));

@@ -109,6 +109,7 @@ proptest! {
         prop_assert_eq!(srv.values, lib.values);
         prop_assert_eq!(srv.prepares, lib.prepares);
         prop_assert_eq!(srv.graph_builds, lib.graph_builds);
+        prop_assert_eq!(srv.graph_patches, lib.graph_patches);
 
         // Scripted transcript: render every request up front, feed the batch
         // through `serve_script`, digest the response lines.
