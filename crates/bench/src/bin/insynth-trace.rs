@@ -232,8 +232,12 @@ fn print_human(report: &ReplayReport) {
         s.opens, s.queries, s.pages, s.updates, s.removals, s.closes
     );
     println!(
-        "engine     {} prepares ({} incremental), {} graph builds, {} graph patches",
-        report.prepares, report.incremental_prepares, report.graph_builds, report.graph_patches
+        "engine     {} prepares ({} incremental), {} graph builds, {} graph patches, {} graph evictions",
+        report.prepares,
+        report.incremental_prepares,
+        report.graph_builds,
+        report.graph_patches,
+        report.graph_evictions
     );
     println!(
         "results    {} completions, {} values, {} resumed, {} errors",

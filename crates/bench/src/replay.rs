@@ -108,6 +108,8 @@ pub struct ReplayReport {
     /// Derivation graphs the engine patched from an ancestor revision's
     /// graph instead of building.
     pub graph_patches: usize,
+    /// Derivation-graph artifacts the engine's graph cache evicted.
+    pub graph_evictions: usize,
     /// Order-insensitive result digest (see module docs).
     pub digest: u64,
     pub elapsed: Duration,
@@ -147,8 +149,8 @@ impl ReplayReport {
             s.events, s.opens, s.queries, s.pages, s.updates, s.removals, s.closes, s.points
         ));
         out.push_str(&format!(
-            "  \"engine\": {{\"prepares\": {}, \"graph_builds\": {}, \"graph_patches\": {}}},\n",
-            self.prepares, self.graph_builds, self.graph_patches
+            "  \"engine\": {{\"prepares\": {}, \"graph_builds\": {}, \"graph_patches\": {}, \"graph_evictions\": {}}},\n",
+            self.prepares, self.graph_builds, self.graph_patches, self.graph_evictions
         ));
         out.push_str(&format!(
             "  \"results\": {{\"completions\": {}, \"values\": {}, \"resumed\": {}, \"errors\": {}, \"digest\": \"{}\"}}",
@@ -402,6 +404,7 @@ fn report(
         incremental_prepares: stats.incremental_prepare_count,
         graph_builds: stats.graph_build_count,
         graph_patches: stats.graph_patch_count,
+        graph_evictions: stats.graph_eviction_count,
         digest: outcome.digest,
         elapsed,
         latency: outcome.latency,
@@ -730,6 +733,7 @@ mod tests {
         assert_eq!(lib.incremental_prepares, srv.incremental_prepares);
         assert_eq!(lib.graph_builds, srv.graph_builds);
         assert_eq!(lib.graph_patches, srv.graph_patches);
+        assert_eq!(lib.graph_evictions, srv.graph_evictions);
 
         // Re-running is counter- and digest-identical (workers = 1).
         let again = replay_library(&trace, &ambient, 1);

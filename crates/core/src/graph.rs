@@ -28,7 +28,7 @@
 //! walk's per-pop dead-hole memo (an `∞` hole is dead even when its node
 //! exists).
 //!
-//! [`generate_terms`] is then an **A\*** walk over the graph: the queue is
+//! [`generate_terms`] is then an **A\*** walk over the graph: the frontier is
 //! ordered by `g + Σ h(open holes)` (accumulated weight plus the completion
 //! bounds of every open hole), no σ, no interning, no string cloning, and two
 //! prunings the flat pipeline cannot do:
@@ -45,11 +45,12 @@
 //!
 //! Ordering by `g + Σ h` changes which partial expressions are *explored*,
 //! but not what is *emitted*: admissibility guarantees completions still pop
-//! in ascending weight order, and ties are broken by each entry's *pedigree*
-//! — the chain of (accumulated weight, expansion index) pairs along its
-//! ancestor path — which reproduces, bit for bit, the creation-order
-//! tie-break of the plain best-first walk (an entry's creation order is its
-//! parent's pop order plus its index within that expansion, recursively).
+//! in ascending weight order, and ties are broken by each successor's
+//! *pedigree* — the chain of (accumulated weight, expansion index) pairs
+//! along its ancestor path — which reproduces, bit for bit, the
+//! creation-order tie-break of the plain best-first walk (a successor's
+//! creation order is its parent's pop order plus its index within that
+//! expansion, recursively).
 //! The returned terms are therefore byte-identical to the unindexed
 //! reference walk ([`generate_terms_unindexed`](crate::generate_terms_unindexed));
 //! a property test asserts exactly that, in both the A* and the fallback
@@ -59,6 +60,24 @@
 //! cutoff is inflated by a margin dwarfing any residual rounding, so an
 //! expression whose true bound exactly ties the n-th candidate is never
 //! pruned by a stray ulp.
+//!
+//! # Expanding lazily
+//!
+//! A pop on a paper-scale graph has hundreds of successors, and an
+//! n-bounded query pops only a handful of times. So the walk keys every
+//! successor — priority, tie-break, hole count, depth, and every pruning and
+//! frontier-cap decision, in production order — but stores the survivors of
+//! one pop as a single *sibling block*: compact records that reference the
+//! block's shared parent expression, pedigree and cached edges, heapified by
+//! their within-block order. The frontier heap holds one entry per block,
+//! keyed by its best sibling. Because siblings share their parent, the
+//! within-block order is the global order restricted to the block, so the
+//! best block's best sibling is exactly what an eager heap of every
+//! successor would pop next: the pop sequence, and with it every emission
+//! and statistic, is unchanged. Only a popped sibling builds its expression
+//! (one replacement node and the rebuilt spine above its hole), which is
+//! the partial expansion of A* search for large branching factors
+//! (Yoshizumi, Miura & Ishida, AAAI 2000) applied without approximation.
 //!
 //! A graph is self-contained (it no longer borrows the per-query
 //! [`ScratchStore`]), and the heuristic is part of it, which is what lets a
@@ -165,6 +184,7 @@
 //! ```
 
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
@@ -1307,22 +1327,24 @@ fn to_term(expr: &PExpr, env: &TypeEnv) -> Term {
     built.pop().expect("one term per complete expression")
 }
 
-/// One link of an entry's *pedigree*: the pop key of the expansion that
-/// created it. A popped entry's pop key is its accumulated weight plus its
-/// own creation key — parent's pop key and index within that expansion —
-/// recursively up to the root (represented by `None`).
+/// One link of a successor's *pedigree*: the pop key of the expansion that
+/// created it. A popped successor's pop key is its accumulated weight plus
+/// its own creation key — parent's pop key and index within that expansion
+/// — recursively up to the root (represented by `None`).
 ///
-/// In the plain best-first walk with monotone weights, entries pop in
-/// nondecreasing `(weight, creation order)` order, and an entry's creation
-/// order is exactly `(parent's pop order, expansion index)`. Comparing
-/// pedigrees therefore reproduces the best-first walk's global FIFO
-/// tie-break without a shared counter — which is what lets the A* walk,
-/// whose *exploration* order is different, still emit equal-weight
+/// In the plain best-first walk with monotone weights, successors pop in
+/// nondecreasing `(weight, creation order)` order, and a successor's
+/// creation order is exactly `(parent's pop order, expansion index)`.
+/// Comparing pedigrees therefore reproduces the best-first walk's global
+/// FIFO tie-break without a shared counter — which is what lets the A*
+/// walk, whose *exploration* order is different, still emit equal-weight
 /// completions in the identical order. (Monotonicity matters: with negative
-/// weights a cheap entry can be created *after* a heavier one was already
-/// popped, so creation counters and pop keys disagree — but the A* mode is
-/// only ever active on monotone graphs.) Ancestor chains are `Arc`-shared,
-/// so a pedigree costs one allocation per pop.
+/// weights a cheap successor can be created *after* a heavier one was
+/// already popped, so creation counters and pop keys disagree — but the A*
+/// mode is only ever active on monotone graphs.) Every successor of one pop
+/// shares that pop's pedigree, so it lives once, on the pop's [`Block`];
+/// ancestor chains are `Arc`-shared, so a pedigree costs one allocation per
+/// expanding pop.
 struct Pedigree {
     g: Weight,
     idx: u64,
@@ -1346,7 +1368,7 @@ impl Drop for Pedigree {
 }
 
 /// Compares two parent pop keys; `None` is the root, whose pop precedes
-/// everything (it is the only entry in the queue when the walk starts).
+/// everything (it is the only sibling on the frontier when the walk starts).
 ///
 /// The defining recursion is `(g, parent pop key, idx)` lexicographically;
 /// flattened, that is: weights leaf-to-root first (the leafmost difference
@@ -1405,60 +1427,180 @@ fn cmp_pop_key(a: &Option<Arc<Pedigree>>, b: &Option<Arc<Pedigree>>) -> std::cmp
     Ordering::Equal
 }
 
-/// Priority-queue entry. The search key is `priority` — the accumulated
-/// weight `g` in best-first mode, the completion bound `g + Σ h(open holes)`
-/// in A* mode — followed by the mode's tie-break: A* entries replay the
-/// best-first creation order through `(g, parent pop key, idx)` (see
-/// [`Pedigree`]); best-first entries use the global creation counter `seq`
-/// directly, which is exact even when negative weight overrides make
-/// creation counters and pop keys disagree. `holes` and `depth` are
-/// maintained incrementally so completeness and depth checks are O(1).
-struct Entry {
+/// Which successor of its pop a [`Sibling`] stands for — a reference into
+/// its [`Block`], not a built expression.
+#[derive(Debug, Clone, Copy)]
+enum SiblingHead {
+    /// The block's expression itself: the root hole, the walk's only
+    /// successor without a parent.
+    Root,
+    /// Declaration edge `edge` of the block's cached variant `variant`.
+    Decl { variant: u32, edge: u32 },
+    /// The block's `i`-th binder head.
+    Binder(u32),
+}
+
+/// A successor head as an expansion enumerates it, before the successor is
+/// kept as a [`Sibling`].
+enum Candidate<'a> {
+    Decl { variant: u32, edge: u32 },
+    Binder(&'a Param),
+}
+
+/// One pending successor of a pop: its search key and bookkeeping, with no
+/// expression built and nothing allocated. The expression is materialised
+/// only when the sibling itself pops (see [`Block::materialize`]).
+///
+/// The search key is `priority` — the accumulated weight `g` in best-first
+/// mode, the completion bound `g + Σ h(open holes)` in A* mode — followed by
+/// the mode's tie-break: A* replays the best-first creation order through
+/// `(g, parent pop key, idx)` (see [`Pedigree`]); best-first uses the global
+/// creation order directly, which is exact even when negative weight
+/// overrides make creation order and pop keys disagree. Siblings share their
+/// parent, so within a block both reduce to `(priority, g, idx)`: in A* mode
+/// the pop keys are equal, and in best-first mode `priority` is `g` bit for
+/// bit (`g + 0`, and no `g` is ever `-0.0` — the root starts at `+0.0`, and
+/// a sum that starts from `+0.0` cannot reach `-0.0`), while creation order
+/// within a pop is `idx` order. `holes` and `depth` are maintained
+/// incrementally so completeness and depth checks are O(1).
+#[derive(Debug)]
+struct Sibling {
     priority: Weight,
     g: Weight,
     /// `Σ h` over the open holes (exactly zero when `holes == 0`, and in
     /// best-first mode).
     hsum: Weight,
-    /// `true` in A* mode; selects the tie-break and is uniform across a walk.
-    astar: bool,
-    seq: u64,
-    parent: Option<Arc<Pedigree>>,
-    idx: u64,
-    expr: Arc<PExpr>,
+    /// Index within the parent's expansion (production order, pruned
+    /// successors included).
+    idx: u32,
     holes: u32,
     depth: u32,
+    head: SiblingHead,
 }
 
-impl Entry {
+impl Sibling {
+    fn block_key_cmp(&self, other: &Self) -> std::cmp::Ordering {
+        self.priority
+            .cmp(&other.priority)
+            .then_with(|| self.g.cmp(&other.g))
+            .then_with(|| self.idx.cmp(&other.idx))
+    }
+}
+
+impl PartialEq for Sibling {
+    fn eq(&self, other: &Self) -> bool {
+        self.block_key_cmp(other) == std::cmp::Ordering::Equal
+    }
+}
+impl Eq for Sibling {}
+impl PartialOrd for Sibling {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+impl Ord for Sibling {
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        // `BinaryHeap` pops the maximum; reverse so the smallest key pops
+        // first.
+        other.block_key_cmp(self)
+    }
+}
+
+/// The surviving successors of one pop, kept as one frontier entry: the
+/// partial-expansion idea of A* search (Yoshizumi, Miura & Ishida, "A* with
+/// Partial Expansion for Large Branching Factor Problems", AAAI 2000),
+/// applied exactly. The frontier heap holds one block per expanding pop,
+/// keyed by the block's best sibling; popping takes that sibling and leaves
+/// the rest in place, so the global pop sequence is the one an eager heap of
+/// every successor would produce, while only popped siblings ever build an
+/// expression.
+///
+/// Everything siblings share lives here once: the parent expression whose
+/// first hole they fill, the parent's pop key (A* tie-break), the block's
+/// creation number (best-first tie-break — successors of earlier pops were
+/// created earlier), the fresh binder parameters of the filled hole, the
+/// environment of the new holes, and the cached declaration edges and
+/// binder heads the siblings' [`SiblingHead`]s refer to.
+struct Block {
+    /// Never empty while the block is on the frontier.
+    siblings: BinaryHeap<Sibling>,
+    parent: Arc<PExpr>,
+    /// `true` in A* mode; selects the tie-break and is uniform across a walk.
+    astar: bool,
+    /// The parent's pop key (A* mode only).
+    pedigree: Option<Arc<Pedigree>>,
+    /// Creation number of the block (best-first mode tie-break).
+    seq: u64,
+    params: Arc<[(Param, HoleTyId)]>,
+    node_env: EnvId,
+    cached: Arc<[CachedVariant]>,
+    binders: Vec<(Arc<str>, Arc<[HoleTyId]>)>,
+}
+
+impl Block {
+    fn best(&self) -> &Sibling {
+        self.siblings
+            .peek()
+            .expect("frontier blocks are never empty")
+    }
+
     fn search_key_cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.priority.cmp(&other.priority).then_with(|| {
+        let (a, b) = (self.best(), other.best());
+        a.priority.cmp(&b.priority).then_with(|| {
             if self.astar {
-                self.g
-                    .cmp(&other.g)
-                    .then_with(|| cmp_pop_key(&self.parent, &other.parent))
-                    .then_with(|| self.idx.cmp(&other.idx))
+                a.g.cmp(&b.g)
+                    .then_with(|| cmp_pop_key(&self.pedigree, &other.pedigree))
+                    .then_with(|| a.idx.cmp(&b.idx))
             } else {
                 self.seq.cmp(&other.seq)
             }
         })
     }
+
+    /// Builds the expression `sibling` stands for: the parent with its first
+    /// hole replaced by the sibling's head applied to fresh holes.
+    fn materialize(&self, sibling: &Sibling) -> Arc<PExpr> {
+        let (head, args) = match sibling.head {
+            SiblingHead::Root => return Arc::clone(&self.parent),
+            SiblingHead::Decl { variant, edge } => {
+                let edge = &self.cached[variant as usize].edges[edge as usize];
+                (Head::Decl(edge.decl), &edge.args)
+            }
+            SiblingHead::Binder(i) => {
+                let (name, args) = &self.binders[i as usize];
+                (Head::Binder(Arc::clone(name)), args)
+            }
+        };
+        let replacement = Arc::new(PExpr::Node {
+            params: Arc::clone(&self.params),
+            head,
+            args: args
+                .iter()
+                .map(|&ty| {
+                    Arc::new(PExpr::Hole {
+                        ty,
+                        ctx: self.node_env,
+                    })
+                })
+                .collect(),
+        });
+        replace_first_hole(&self.parent, &replacement)
+    }
 }
 
-impl PartialEq for Entry {
+impl PartialEq for Block {
     fn eq(&self, other: &Self) -> bool {
         self.search_key_cmp(other) == std::cmp::Ordering::Equal
     }
 }
-impl Eq for Entry {}
-impl PartialOrd for Entry {
+impl Eq for Block {}
+impl PartialOrd for Block {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Entry {
+impl Ord for Block {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        // `BinaryHeap` pops the maximum; reverse so the smallest search key
-        // pops first.
         other.search_key_cmp(self)
     }
 }
@@ -1659,8 +1801,17 @@ pub(crate) struct EmittedTerm {
 /// and the streamed [`Session::query_stream`](crate::Session::query_stream)
 /// API.
 ///
+/// The frontier is a heap of sibling [`Block`]s, one per expanding pop (plus
+/// the root's), each keyed by its best pending [`Sibling`]. A pop takes the
+/// best sibling of the best block and builds only that sibling's
+/// expression; its expansion keys every successor but stores the survivors
+/// as one new block. A walk therefore allocates per pop rather than per
+/// successor, and a parked walk after `steps` pops holds at most
+/// `steps + 1` blocks — cheap to keep and cheap to drop when its artifact is
+/// evicted.
+///
 /// A `WalkState` advances exclusively through [`WalkState::step_streamed`]
-/// (or the module-internal bounded variant): one call pops entries until a
+/// (or the module-internal bounded variant): one call pops siblings until a
 /// term is emitted (`Some`) or the walk stops (`None` — frontier exhausted,
 /// step budget hit, or wall-clock expired; the flag accessors distinguish
 /// the causes). Every state transition is deterministic except wall-clock
@@ -1669,7 +1820,10 @@ pub(crate) struct EmittedTerm {
 /// the session layer's resume discipline is built on (a time-truncated
 /// state is never persisted).
 pub(crate) struct WalkState {
-    queue: BinaryHeap<Entry>,
+    queue: BinaryHeap<Block>,
+    /// Siblings pending across every block of `queue` — the frontier size
+    /// the `max_frontier` cap counts.
+    pending: usize,
     memo: WalkMemo,
     expansions: ExpansionCache,
     seeded_memo: usize,
@@ -1736,27 +1890,35 @@ impl WalkState {
             graph.shape.init_env,
             graph.shape.root_ty,
         );
-        let mut queue: BinaryHeap<Entry> = BinaryHeap::new();
-        queue.push(Entry {
-            // An uninhabited root makes this ∞; the pop bails out before any
-            // arithmetic touches it.
-            priority: root_goal.cost,
-            g: Weight::ZERO,
-            hsum: root_goal.cost,
-            astar,
-            seq: 0,
-            parent: None,
-            idx: 0,
-            expr: Arc::new(PExpr::Hole {
+        let mut queue: BinaryHeap<Block> = BinaryHeap::new();
+        queue.push(Block {
+            siblings: BinaryHeap::from(vec![Sibling {
+                // An uninhabited root makes this ∞; the pop bails out before
+                // any arithmetic touches it.
+                priority: root_goal.cost,
+                g: Weight::ZERO,
+                hsum: root_goal.cost,
+                idx: 0,
+                holes: 1,
+                depth: 1,
+                head: SiblingHead::Root,
+            }]),
+            parent: Arc::new(PExpr::Hole {
                 ty: graph.shape.root_ty,
                 ctx: graph.shape.init_env,
             }),
-            holes: 1,
-            depth: 1,
+            astar,
+            pedigree: None,
+            seq: 0,
+            params: Arc::from(Vec::new()),
+            node_env: graph.shape.init_env,
+            cached: Arc::from(Vec::new()),
+            binders: Vec::new(),
         });
 
         WalkState {
             queue,
+            pending: 1,
             memo,
             expansions,
             seeded_memo,
@@ -1809,10 +1971,10 @@ impl WalkState {
     }
 
     /// `true` once a [`CancelToken`](crate::CancelToken) stopped the walk.
-    /// The stop happens at a pop boundary (the popped entry is re-pushed),
-    /// so the frontier itself stays consistent — but *when* the flag landed
-    /// is a property of the moment, so the session layer treats a cancelled
-    /// state like a time-truncated one and never persists it.
+    /// The stop happens at a pop boundary (before anything leaves the
+    /// frontier), so the frontier itself stays consistent — but *when* the
+    /// flag landed is a property of the moment, so the session layer treats
+    /// a cancelled state like a time-truncated one and never persists it.
     pub(crate) fn cancelled(&self) -> bool {
         self.cancelled
     }
@@ -1821,6 +1983,12 @@ impl WalkState {
     /// enumeration.
     pub(crate) fn exhausted(&self) -> bool {
         self.exhausted
+    }
+
+    /// The frontier's size: `(blocks, pending siblings)`.
+    #[cfg(test)]
+    pub(crate) fn frontier(&self) -> (usize, usize) {
+        (self.queue.len(), self.pending)
     }
 
     /// Advances a streamed (unbounded, unpruned) walk by one emission,
@@ -1837,7 +2005,7 @@ impl WalkState {
         self.step_impl(graph, env, limits, leg_start, None)
     }
 
-    /// The walk engine: pops and expands entries until a term is emitted
+    /// The walk engine: pops and expands siblings until a term is emitted
     /// (returned, and appended to the emission log) or the walk stops
     /// (`None`; the flags say why). `bounded` enables the branch-and-bound
     /// prunings of the n-bounded entry points.
@@ -1855,39 +2023,52 @@ impl WalkState {
             None
         };
         loop {
-            let Some(entry) = self.queue.pop() else {
+            let Some(mut block) = self.queue.peek_mut() else {
                 self.exhausted = true;
                 return None;
             };
+            // Budget stops leave the frontier untouched: its order is total
+            // and deterministic, so the intact frontier restores the exact
+            // trajectory on resume.
             if self.steps >= limits.max_steps {
-                // Budget stops re-push the popped entry: the heap's order is
-                // total and deterministic, so restoring the frontier content
-                // restores the exact trajectory on resume.
-                self.queue.push(entry);
                 self.truncated = true;
                 return None;
             }
             if let Some(limit) = limits.time_limit {
                 if leg_start.elapsed() > limit {
-                    self.queue.push(entry);
                     self.time_truncated = true;
                     return None;
                 }
             }
             if let Some(cancel) = &limits.cancel {
                 if cancel.is_cancelled() {
-                    self.queue.push(entry);
                     self.cancelled = true;
                     return None;
                 }
             }
             self.steps += 1;
 
-            if entry.holes == 0 {
+            // Take the best sibling of the best block, build its expression,
+            // and let the block sink to its next-best sibling (or leave the
+            // frontier when it has none left).
+            let popped = block
+                .siblings
+                .pop()
+                .expect("frontier blocks are never empty");
+            let expr = block.materialize(&popped);
+            let parent = block.pedigree.clone();
+            if block.siblings.is_empty() {
+                PeekMut::pop(block);
+            } else {
+                drop(block);
+            }
+            self.pending -= 1;
+
+            if popped.holes == 0 {
                 self.emitted.push(EmittedTerm {
                     term: RankedTerm {
-                        term: to_term(&entry.expr, env),
-                        weight: entry.g,
+                        term: to_term(&expr, env),
+                        weight: popped.g,
                     },
                     steps: self.steps,
                     truncated: self.truncated,
@@ -1901,7 +2082,7 @@ impl WalkState {
             if let Some(ctl) = bounded.as_deref_mut() {
                 if graph.monotone && ctl.candidates.len() >= ctl.n {
                     if let Some(&bound) = ctl.candidates.peek() {
-                        if entry.priority > prune_cutoff(bound, self.astar) {
+                        if popped.priority > prune_cutoff(bound, self.astar) {
                             continue;
                         }
                     }
@@ -1909,8 +2090,8 @@ impl WalkState {
             }
 
             let mut scope: Vec<&(Param, HoleTyId)> = Vec::new();
-            let (hole_ty, ctx, ancestors) = find_first_hole(&entry.expr, &mut scope)
-                .expect("entry with holes > 0 contains a hole");
+            let (hole_ty, ctx, ancestors) = find_first_hole(&expr, &mut scope)
+                .expect("a popped sibling with holes > 0 contains a hole");
             let filled = hole_goal(graph, heuristic, &mut self.memo, ctx, hole_ty);
             let Some((node_env, node)) = filled.node else {
                 // Dead hole (only reachable from the root; successors
@@ -1931,17 +2112,6 @@ impl WalkState {
                 .collect();
             let params_weight = Weight::new(graph.shape.lambda_weight.value() * fresh.len() as f64);
             let params: Arc<[(Param, HoleTyId)]> = fresh.into();
-
-            // This pop's key becomes the pedigree of every successor it
-            // creates (the A* tie-break; best-first mode breaks ties on seq
-            // and skips the allocation entirely).
-            let pedigree = self.astar.then(|| {
-                Arc::new(Pedigree {
-                    g: entry.g,
-                    idx: entry.idx,
-                    parent: entry.parent.clone(),
-                })
-            });
 
             // Declaration-headed successors of this (environment, goal)
             // pair, dead-checked and bound-summed once, then reused by every
@@ -1985,17 +2155,26 @@ impl WalkState {
             }
             let cached = Arc::clone(&self.expansions[&(node_env, node)]);
 
+            // Key every successor in production order — pruning, bounded
+            // candidates and the frontier cap see exactly the sequence an
+            // eager expansion would — but keep each survivor as a compact
+            // sibling record; only the one that pops builds an expression.
+            let mut siblings: Vec<Sibling> = Vec::new();
+            let mut binders: Vec<(Arc<str>, Arc<[HoleTyId]>)> = Vec::new();
             let mut produced = 0usize;
-            'expand: for variant in cached.iter() {
+            'expand: for (vi, variant) in cached.iter().enumerate() {
                 // Declaration heads first, then binders in scope order — the
                 // enumeration order of the unindexed walk. Declaration heads
                 // carry their precomputed argument bound; binder heads are
                 // marked `None` and checked in the loop body.
-                let decl_heads = variant.edges.iter().map(|edge| {
+                let decl_heads = variant.edges.iter().enumerate().map(|(ei, edge)| {
                     (
-                        Head::Decl(edge.decl),
+                        Candidate::Decl {
+                            variant: vi as u32,
+                            edge: ei as u32,
+                        },
                         edge.weight,
-                        edge.args.clone(),
+                        &edge.args,
                         Some(edge.args_bound),
                     )
                 });
@@ -2006,9 +2185,9 @@ impl WalkState {
                     .filter(|(_, ty)| graph.shape.tys[ty.as_usize()].succ == variant.wanted)
                     .map(|(param, ty)| {
                         (
-                            Head::Binder(Arc::from(param.name.as_str())),
+                            Candidate::Binder(param),
                             graph.shape.lambda_weight,
-                            Arc::clone(&graph.shape.tys[ty.as_usize()].args),
+                            &graph.shape.tys[ty.as_usize()].args,
                             None,
                         )
                     });
@@ -2017,9 +2196,8 @@ impl WalkState {
                     produced += 1;
                     // Re-check the wall-clock budget periodically so one
                     // step cannot overshoot the reconstruction limit. A
-                    // mid-expansion stop may leave a partially expanded pop
-                    // behind, which is why time-truncated states are never
-                    // resumed.
+                    // mid-expansion stop drops the pop's partial block,
+                    // which is why time-truncated states are never resumed.
                     if produced.is_multiple_of(128) {
                         if let Some(limit) = limits.time_limit {
                             if leg_start.elapsed() > limit {
@@ -2028,9 +2206,9 @@ impl WalkState {
                             }
                         }
                     }
-                    if self.queue.len() >= limits.max_frontier {
+                    if self.pending + siblings.len() >= limits.max_frontier {
                         // Stop enqueueing for this pop only — like the
-                        // unindexed walk, the queue keeps draining so
+                        // unindexed walk, the frontier keeps draining so
                         // completions already enqueued are still emitted.
                         self.truncated = true;
                         break 'expand;
@@ -2058,15 +2236,15 @@ impl WalkState {
                         }
                     };
 
-                    let new_weight = entry.g.plus(params_weight.plus(head_weight));
-                    let new_holes = entry.holes - 1 + arg_tys.len() as u32;
+                    let new_weight = popped.g.plus(params_weight.plus(head_weight));
+                    let new_holes = popped.holes - 1 + arg_tys.len() as u32;
                     // Pin `Σ h` of complete expressions to exactly zero so
                     // their priority is bit-for-bit their weight, untouched
                     // by the rounding of the incremental bound updates.
                     let new_hsum = if !self.astar || new_holes == 0 {
                         Weight::ZERO
                     } else {
-                        Weight::new(entry.hsum.value() - filled_cost.value() + args_bound.value())
+                        Weight::new(popped.hsum.value() - filled_cost.value() + args_bound.value())
                     };
                     let new_priority = new_weight.plus(new_hsum);
                     if let Some(ctl) = bounded.as_deref_mut() {
@@ -2082,7 +2260,7 @@ impl WalkState {
 
                     // Depth: the only lengthened path runs through the hole.
                     let replacement_depth = if arg_tys.is_empty() { 1 } else { 2 };
-                    let new_depth = entry.depth.max(ancestors + replacement_depth);
+                    let new_depth = popped.depth.max(ancestors + replacement_depth);
                     if let Some(max_depth) = limits.max_depth {
                         if new_depth as usize > max_depth {
                             continue;
@@ -2101,34 +2279,50 @@ impl WalkState {
                         }
                     }
 
-                    let replacement = Arc::new(PExpr::Node {
-                        params: Arc::clone(&params),
-                        head,
-                        args: arg_tys
-                            .iter()
-                            .map(|&a| {
-                                Arc::new(PExpr::Hole {
-                                    ty: a,
-                                    ctx: node_env,
-                                })
-                            })
-                            .collect(),
-                    });
-                    let new_expr = replace_first_hole(&entry.expr, &replacement);
-                    self.seq += 1;
-                    self.queue.push(Entry {
+                    let head = match head {
+                        Candidate::Decl { variant, edge } => SiblingHead::Decl { variant, edge },
+                        Candidate::Binder(param) => {
+                            binders.push((Arc::from(param.name.as_str()), Arc::clone(arg_tys)));
+                            SiblingHead::Binder(binders.len() as u32 - 1)
+                        }
+                    };
+                    siblings.push(Sibling {
                         priority: new_priority,
                         g: new_weight,
                         hsum: new_hsum,
-                        astar: self.astar,
-                        seq: self.seq,
-                        parent: pedigree.clone(),
-                        idx: produced as u64,
-                        expr: new_expr,
+                        // A pop produces its node's edges (u32-indexed in
+                        // the edge slab) plus the binders in scope.
+                        idx: produced as u32,
                         holes: new_holes,
                         depth: new_depth,
+                        head,
                     });
                 }
+            }
+
+            if !siblings.is_empty() {
+                self.pending += siblings.len();
+                self.seq += 1;
+                self.queue.push(Block {
+                    siblings: BinaryHeap::from(siblings),
+                    parent: expr,
+                    astar: self.astar,
+                    // This pop's key is the pedigree of every successor it
+                    // created (the A* tie-break; best-first mode breaks ties
+                    // on the block's creation number instead).
+                    pedigree: self.astar.then(|| {
+                        Arc::new(Pedigree {
+                            g: popped.g,
+                            idx: u64::from(popped.idx),
+                            parent,
+                        })
+                    }),
+                    seq: self.seq,
+                    params,
+                    node_env,
+                    cached,
+                    binders,
+                });
             }
         }
     }
@@ -2440,6 +2634,109 @@ mod tests {
         assert_eq!(outcome.terms[0].term.to_string(), "a");
         assert_eq!(outcome.terms[1].term.to_string(), "s(a)");
         assert_eq!(outcome.terms[n - 1].term.depth(), n);
+    }
+
+    /// The frontier cap counts pending successors exactly as it counted
+    /// queue entries when every successor was materialised: each case pins
+    /// `steps pruned_enqueues truncated | terms`, recorded on the eager walk,
+    /// for caps that bite at once, bite late, never bite, and the default.
+    #[test]
+    fn frontier_cap_counts_pending_siblings_like_queued_entries() {
+        let decls = vec![
+            Declaration::new("a", Ty::base("A"), DeclKind::Local),
+            Declaration::new("b", Ty::base("A"), DeclKind::Local),
+            Declaration::new("c", Ty::base("A"), DeclKind::Local),
+            Declaration::new(
+                "s",
+                Ty::fun(vec![Ty::base("A")], Ty::base("A")),
+                DeclKind::Local,
+            ),
+            Declaration::new(
+                "join",
+                Ty::fun(vec![Ty::base("A"), Ty::base("A")], Ty::base("A")),
+                DeclKind::Imported,
+            ),
+            Declaration::new(
+                "lift",
+                Ty::fun(
+                    vec![Ty::fun(vec![Ty::base("A")], Ty::base("A"))],
+                    Ty::base("A"),
+                ),
+                DeclKind::Imported,
+            ),
+        ];
+        let env: TypeEnv = decls.iter().cloned().collect();
+        let (_, _, graph) = both_walks(decls, Ty::base("A"), 1, &GenerateLimits::default());
+        let summary = |outcome: &GenerateOutcome| {
+            let terms: Vec<String> = outcome.terms.iter().map(|t| t.term.to_string()).collect();
+            format!(
+                "{} {} {} | {}",
+                outcome.steps,
+                outcome.pruned_enqueues,
+                outcome.truncated,
+                terms.join(", ")
+            )
+        };
+        let mut seen = Vec::new();
+        for cap in [1, 3, 64, GenerateLimits::default().max_frontier] {
+            let limits = GenerateLimits {
+                max_frontier: cap,
+                max_depth: Some(5),
+                ..GenerateLimits::default()
+            };
+            let astar = generate_terms(&graph, &env, 40, &limits);
+            assert!(astar.astar);
+            let best_first = generate_terms_best_first(&graph, &env, 40, &limits);
+            seen.push(summary(&astar));
+            seen.push(summary(&best_first));
+        }
+        let expected = [
+            // max_frontier = 1, A*
+            "2 0 true | a",
+            // max_frontier = 1, best-first
+            "2 0 true | a",
+            // max_frontier = 3, A*
+            "4 0 true | a, b, c",
+            // max_frontier = 3, best-first
+            "4 0 true | a, b, c",
+            // max_frontier = 64, A*
+            "69 60 false | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
+            s(s(s(b))), s(s(s(c))), s(s(s(s(a)))), s(s(s(s(b)))), s(s(s(s(c)))), \
+            lift(var1 => var1), lift(var1 => a), lift(var1 => b), lift(var1 => c), \
+            s(lift(var1 => var1)), lift(var1 => s(var1)), join(a, a), join(a, b), join(a, c), \
+            join(b, a), join(b, b), join(b, c), join(c, a), join(c, b), join(c, c), \
+            s(lift(var1 => a)), s(lift(var1 => b)), s(lift(var1 => c)), lift(var1 => s(a)), \
+            lift(var1 => s(b)), lift(var1 => s(c)), s(s(lift(var1 => var1))), \
+            s(lift(var1 => s(var1))), lift(var1 => s(s(var1))), s(join(a, a))",
+            // max_frontier = 64, best-first
+            "75 60 true | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
+            s(s(s(b))), s(s(s(c))), s(s(s(s(a)))), s(s(s(s(b)))), s(s(s(s(c)))), \
+            lift(var1 => var1), lift(var1 => a), lift(var1 => b), lift(var1 => c), \
+            s(lift(var1 => var1)), lift(var1 => s(var1)), join(a, a), join(a, b), join(a, c), \
+            join(b, a), join(b, b), join(b, c), join(c, a), join(c, b), join(c, c), \
+            s(lift(var1 => a)), s(lift(var1 => b)), s(lift(var1 => c)), lift(var1 => s(a)), \
+            lift(var1 => s(b)), lift(var1 => s(c)), s(s(lift(var1 => var1))), \
+            s(lift(var1 => s(var1))), lift(var1 => s(s(var1))), s(join(a, a))",
+            // max_frontier = default, A*
+            "69 60 false | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
+            s(s(s(b))), s(s(s(c))), s(s(s(s(a)))), s(s(s(s(b)))), s(s(s(s(c)))), \
+            lift(var1 => var1), lift(var1 => a), lift(var1 => b), lift(var1 => c), \
+            s(lift(var1 => var1)), lift(var1 => s(var1)), join(a, a), join(a, b), join(a, c), \
+            join(b, a), join(b, b), join(b, c), join(c, a), join(c, b), join(c, c), \
+            s(lift(var1 => a)), s(lift(var1 => b)), s(lift(var1 => c)), lift(var1 => s(a)), \
+            lift(var1 => s(b)), lift(var1 => s(c)), s(s(lift(var1 => var1))), \
+            s(lift(var1 => s(var1))), lift(var1 => s(s(var1))), s(join(a, a))",
+            // max_frontier = default, best-first
+            "75 75 false | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
+            s(s(s(b))), s(s(s(c))), s(s(s(s(a)))), s(s(s(s(b)))), s(s(s(s(c)))), \
+            lift(var1 => var1), lift(var1 => a), lift(var1 => b), lift(var1 => c), \
+            s(lift(var1 => var1)), lift(var1 => s(var1)), join(a, a), join(a, b), join(a, c), \
+            join(b, a), join(b, b), join(b, c), join(c, a), join(c, b), join(c, c), \
+            s(lift(var1 => a)), s(lift(var1 => b)), s(lift(var1 => c)), lift(var1 => s(a)), \
+            lift(var1 => s(b)), lift(var1 => s(c)), s(s(lift(var1 => var1))), \
+            s(lift(var1 => s(var1))), lift(var1 => s(s(var1))), s(join(a, a))",
+        ];
+        assert_eq!(seen, expected);
     }
 
     #[test]

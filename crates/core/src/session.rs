@@ -112,8 +112,8 @@ pub struct Engine {
 /// One coherent snapshot of the engine's counters and cache sizes, as
 /// returned by [`Engine::stats`].
 ///
-/// The six cumulative fields (σ runs, incremental σ runs, σ time, graph
-/// builds, graph patches and analyses) count over the engine's lifetime
+/// The seven cumulative fields (σ runs, incremental σ runs, σ time, graph
+/// builds, graph patches, graph evictions and analyses) count over the engine's lifetime
 /// (shared across clones); the three cache sizes are instantaneous.
 /// Comparing snapshots taken before and after a workload gives the cache
 /// economics of exactly that workload: `prepare` calls minus the
@@ -135,6 +135,9 @@ pub struct EngineStatsSnapshot {
     /// Derivation graphs patched from an ancestor revision's graph instead
     /// of built (see [`Session::update`]).
     pub graph_patch_count: usize,
+    /// Derivation-graph artifacts evicted by the graph cache's LRU bound
+    /// ([`SynthesisConfig::graph_cache_capacity`]), parked walks included.
+    pub graph_eviction_count: usize,
     /// Prepared program points currently cached.
     pub cached_point_count: usize,
     /// Derivation-graph artifacts currently cached.
@@ -244,6 +247,13 @@ impl Engine {
         self.cache.graph_patches.load(Ordering::Relaxed)
     }
 
+    /// Number of derivation-graph artifacts the graph cache's LRU bound
+    /// evicted ([`SynthesisConfig::graph_cache_capacity`]); each eviction
+    /// also drops the walks parked on the artifact.
+    pub fn graph_eviction_count(&self) -> usize {
+        self.cache.graph_evictions.load(Ordering::Relaxed)
+    }
+
     /// Number of prepared program points currently cached (bounded by
     /// [`SynthesisConfig::point_cache_capacity`]).
     pub fn cached_point_count(&self) -> usize {
@@ -305,6 +315,7 @@ impl Engine {
             prepare_time_ns: self.cache.prepare_time_ns.load(Ordering::Relaxed),
             graph_build_count: self.graph_build_count(),
             graph_patch_count: self.graph_patch_count(),
+            graph_eviction_count: self.graph_eviction_count(),
             cached_point_count: self.cached_point_count(),
             cached_graph_count: self.cached_graph_count(),
             suspended_walk_count: self.suspended_walk_count(),
@@ -631,7 +642,9 @@ struct ArtifactKey {
 /// budgets: the derivation graph plus the statistics and timings of the
 /// phases that built it. Cached per [`ArtifactKey`] on the engine, so
 /// repeated queries — from any session addressing the same program point —
-/// replay the recorded stats and walk the same graph. Artifacts patched from
+/// replay the recorded statistics and walk the same graph; the timings are
+/// reported only by the query that built (or patched) the artifacts, since
+/// a cache hit spends no explore or pattern time. Artifacts patched from
 /// an ancestor revision's keep its exploration and pattern statistics (the
 /// patch proves exploration replays identically); their explore time is zero
 /// and their pattern time is the patch's.
@@ -663,7 +676,9 @@ pub(crate) struct QueryArtifacts {
     /// follow-up query under the same reconstruction budgets resumes the
     /// walk — popping only the delta — instead of replaying it. Because the
     /// walks live *on* the artifact, they inherit its lifecycle for free:
-    /// evicting or dropping the artifact drops them, and the delta
+    /// evicting or dropping the artifact drops them — cheaply, since a
+    /// parked frontier holds one sibling block per pop, not one expression
+    /// per successor (see [`WalkState`]) — and the delta
     /// carry-over path carries them exactly when it carries the graph —
     /// which it does only when the edit provably cannot reach it. A patched
     /// artifact starts with none: the edit changed the graph's edges, so no
@@ -780,12 +795,14 @@ struct GraphSlot {
 type PointMap = HashMap<EnvFingerprint, Stamped<Arc<PreparedPoint>>>;
 type GraphMap = HashMap<ArtifactKey, Stamped<GraphSlot>>;
 
-/// Evicts least-recently-used entries until `map` fits `capacity`. The entry
-/// a caller just stamped carries the newest stamp, so it is never the victim.
+/// Evicts least-recently-used entries until `map` fits `capacity`, returning
+/// how many it evicted. The entry a caller just stamped carries the newest
+/// stamp, so it is never the victim.
 fn evict_lru<K: Clone + Eq + std::hash::Hash, T>(
     map: &mut HashMap<K, Stamped<T>>,
     capacity: usize,
-) {
+) -> usize {
+    let mut evicted = 0;
     while map.len() > capacity {
         let victim = map
             .iter()
@@ -794,10 +811,12 @@ fn evict_lru<K: Clone + Eq + std::hash::Hash, T>(
         match victim {
             Some(victim) => {
                 map.remove(&victim);
+                evicted += 1;
             }
             None => break,
         }
     }
+    evicted
 }
 
 /// The engine-level content-addressed caches: prepared program points keyed
@@ -825,6 +844,8 @@ pub(crate) struct ArtifactCache {
     graph_builds: AtomicUsize,
     /// Derivation graphs patched from an ancestor's instead of built.
     graph_patches: AtomicUsize,
+    /// Graph artifacts the LRU bound evicted.
+    graph_evictions: AtomicUsize,
     /// Environment analyses performed (at most one per prepared point).
     analyses_run: AtomicUsize,
 }
@@ -840,6 +861,7 @@ impl ArtifactCache {
             prepare_time_ns: AtomicU64::new(0),
             graph_builds: AtomicUsize::new(0),
             graph_patches: AtomicUsize::new(0),
+            graph_evictions: AtomicUsize::new(0),
             analyses_run: AtomicUsize::new(0),
         }
     }
@@ -965,7 +987,7 @@ impl ArtifactCache {
         }
         entry.last_used.store(stamp, Ordering::Relaxed);
         let cell = Arc::clone(&entry.value.cell);
-        evict_lru(&mut graphs, capacity);
+        self.evict_graphs(&mut graphs, capacity);
         Some(cell)
     }
 
@@ -1042,7 +1064,14 @@ impl ArtifactCache {
                 last_used: AtomicU64::new(stamp),
             });
         }
-        evict_lru(&mut graphs, capacity);
+        self.evict_graphs(&mut graphs, capacity);
+    }
+
+    /// Bounds the graph cache to `capacity` by LRU eviction, counting the
+    /// evicted artifacts. Their parked walks drop with them.
+    fn evict_graphs(&self, graphs: &mut GraphMap, capacity: usize) {
+        let evicted = evict_lru(graphs, capacity);
+        self.graph_evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 }
 
@@ -1170,6 +1199,9 @@ impl Session {
                 .graph_cell(key.clone(), &self.point, self.config.graph_cache_capacity)
                 .map(|cell| (key, cell))
         };
+        // Whether this query built or patched the artifacts itself — only
+        // then does it report their explore and pattern time.
+        let mut made_here = true;
         let artifacts = match cell {
             // Caching disabled, or the key is occupied by a different
             // declaration list (a permutation or a fingerprint collision):
@@ -1179,7 +1211,9 @@ impl Session {
                 Arc::new(build_artifacts(&self.point, &config, &query.goal))
             }
             Some((key, cell)) => {
+                made_here = false;
                 let artifacts = Arc::clone(cell.get_or_init(|| {
+                    made_here = true;
                     let patched = self.patch_from_ancestor(&key, &config);
                     Arc::new(patched.unwrap_or_else(|| {
                         self.count_build();
@@ -1201,7 +1235,14 @@ impl Session {
         };
         let decls = self.point.env.len();
         let distinct = self.point.prepared.distinct_succinct_types();
-        TermStream::open(artifacts, config, decls, distinct, query.cancel.clone())
+        TermStream::open(
+            artifacts,
+            made_here,
+            config,
+            decls,
+            distinct,
+            query.cancel.clone(),
+        )
     }
 
     /// The artifacts for `key` patched from the nearest ancestor, along this
@@ -1584,6 +1625,9 @@ pub(crate) fn build_artifacts(
 /// changes results — only how much work the follow-up pays.
 pub struct TermStream {
     artifacts: Arc<QueryArtifacts>,
+    /// Whether the query that opened this stream built or patched
+    /// `artifacts` (rather than finding them cached).
+    made_here: bool,
     config: SynthesisConfig,
     limits: GenerateLimits,
     key: StreamKey,
@@ -1606,6 +1650,7 @@ impl TermStream {
     /// parked under this query's reconstruction budgets when one exists.
     fn open(
         artifacts: Arc<QueryArtifacts>,
+        made_here: bool,
         config: SynthesisConfig,
         session_decls: usize,
         session_distinct: usize,
@@ -1629,6 +1674,7 @@ impl TermStream {
         let steps_at_checkout = state.steps();
         TermStream {
             artifacts,
+            made_here,
             config,
             limits,
             key,
@@ -1660,10 +1706,12 @@ impl TermStream {
     }
 
     /// Drains the stream up to `n` terms and packages the classic
-    /// [`SynthesisResult`] — the body of [`Session::query`]. The reported
-    /// explore/patterns timings and search statistics are those recorded
-    /// when the graph was built, so cached and uncached queries report
-    /// identically; reconstruction statistics are *cumulative* across the
+    /// [`SynthesisResult`] — the body of [`Session::query`]. The search
+    /// statistics are those recorded when the graph was built, so cached and
+    /// uncached queries report identical statistics; the explore/patterns
+    /// timings are what *this* query spent — the build's (or the patch's)
+    /// when it built or patched the graph, zero on a cache hit. The
+    /// reconstruction statistics are *cumulative* across the
     /// walk's legs, so a resumed query reports exactly what a from-scratch
     /// walk to the same `n` would (`reconstruction_new_steps` carries the
     /// delta this query actually paid).
@@ -1696,6 +1744,12 @@ impl TermStream {
             .map(|emission| snippet_of(&emission.term, &self.config))
             .collect();
 
+        let (explore, patterns) = if self.made_here {
+            (self.artifacts.explore_time, self.artifacts.patterns_time)
+        } else {
+            (Duration::ZERO, Duration::ZERO)
+        };
+
         // Per-emission snapshots make the cumulative discipline exact: when
         // the n-th term exists, report the pops and truncation state *at its
         // emission*, exactly what a bounded walk to `n` recorded; when the
@@ -1714,8 +1768,8 @@ impl TermStream {
         SynthesisResult {
             snippets,
             timings: PhaseTimings {
-                explore: self.artifacts.explore_time,
-                patterns: self.artifacts.patterns_time,
+                explore,
+                patterns,
                 reconstruction: recon_time,
             },
             stats: SynthesisStats {
@@ -2068,7 +2122,8 @@ mod tests {
             graph_cache_capacity: 2,
             ..SynthesisConfig::default()
         };
-        let session = Engine::new(config).prepare(&env);
+        let engine = Engine::new(config);
+        let session = engine.prepare(&env);
         let query = |name: &str| {
             session.query(&Query::new(Ty::base(name)).with_n(1));
         };
@@ -2077,6 +2132,7 @@ mod tests {
         query("B"); // build 2, cache {A, B}
         assert_eq!(session.graph_build_count(), 2);
         assert_eq!(session.cached_graph_count(), 2);
+        assert_eq!(engine.graph_eviction_count(), 0);
 
         query("A"); // hit, A becomes most recent
         assert_eq!(session.graph_build_count(), 2);
@@ -2084,14 +2140,130 @@ mod tests {
         query("C"); // build 3: capacity forces out B (least recent), not A
         assert_eq!(session.graph_build_count(), 3);
         assert_eq!(session.cached_graph_count(), 2);
+        assert_eq!(engine.graph_eviction_count(), 1);
 
         query("A"); // still cached
         query("C"); // still cached
         assert_eq!(session.graph_build_count(), 3);
+        assert_eq!(engine.graph_eviction_count(), 1);
 
         query("B"); // evicted above: rebuilt, and evicts the LRU entry (A)
         assert_eq!(session.graph_build_count(), 4);
         assert_eq!(session.cached_graph_count(), 2);
+        assert_eq!(engine.graph_eviction_count(), 2);
+        assert_eq!(engine.stats().graph_eviction_count, 2);
+    }
+
+    /// A wide, filler-style point: `classes` classes in a ring, each with a
+    /// constructor and twelve methods of the six shapes the generated API
+    /// packages use, plus `String` and `Int` locals — so a hole of a class
+    /// type or of `String` has dozens to hundreds of successors.
+    fn wide_env(classes: usize) -> TypeEnv {
+        let mut env = TypeEnv::new();
+        env.push(Declaration::new(
+            "body",
+            Ty::base("String"),
+            DeclKind::Local,
+        ));
+        env.push(Declaration::new("sig", Ty::base("String"), DeclKind::Local));
+        env.push(Declaration::new("count", Ty::base("Int"), DeclKind::Local));
+        for c in 0..classes {
+            let class = format!("Support{c}");
+            let neighbour = format!("Support{}", (c + 1) % classes);
+            env.push(Declaration::new(
+                format!("new{class}"),
+                Ty::base(&class),
+                DeclKind::Imported,
+            ));
+            for m in 0..12 {
+                let (params, ret) = match m % 6 {
+                    0 => (vec!["String"], neighbour.as_str()),
+                    1 => (vec!["Int"], neighbour.as_str()),
+                    2 => (vec![neighbour.as_str()], "String"),
+                    3 => (vec![neighbour.as_str(), "Int"], "Int"),
+                    4 => (vec!["String", "Int"], neighbour.as_str()),
+                    _ => (vec![], neighbour.as_str()),
+                };
+                let args = std::iter::once(class.as_str())
+                    .chain(params)
+                    .map(Ty::base)
+                    .collect();
+                env.push(Declaration::new(
+                    format!("{class}.op{m}"),
+                    Ty::fun(args, Ty::base(ret)),
+                    DeclKind::Imported,
+                ));
+            }
+        }
+        env
+    }
+
+    /// The `(steps, blocks, pending siblings)` of the one walk parked on the
+    /// engine's cached graphs.
+    fn parked_frontier(engine: &Engine) -> (usize, usize, usize) {
+        let graphs = engine.cache.read_graphs();
+        let mut parked = graphs
+            .values()
+            .filter_map(|slot| slot.value.cell.get())
+            .flat_map(|artifacts| {
+                let suspended = lock_recovering(&artifacts.suspended);
+                suspended
+                    .walks
+                    .values()
+                    .map(|walk| {
+                        let (blocks, pending) = walk.value.frontier();
+                        (walk.value.steps(), blocks, pending)
+                    })
+                    .collect::<Vec<_>>()
+            });
+        let walk = parked.next().expect("a walk is parked");
+        assert!(parked.next().is_none(), "exactly one walk is parked");
+        walk
+    }
+
+    #[test]
+    fn a_parked_walk_holds_one_block_per_pop() {
+        let engine = Engine::default();
+        let session = engine.prepare(&wide_env(160));
+        let query = Query::new(Ty::base("String"));
+
+        // The pending totals are the eager frontier's sizes — the heap length
+        // a walk held when it materialised one expression per successor
+        // (5,432 and 5,422 after 651 and 661 pops) — while the blocks number
+        // at most one per pop.
+        for (n, eager_len) in [(10, 5432), (20, 5422)] {
+            let result = session.query(&query.clone().with_n(n));
+            assert_eq!(result.snippets.len(), n);
+            let (steps, blocks, pending) = parked_frontier(&engine);
+            assert!(
+                blocks <= steps + 1,
+                "{blocks} blocks after {steps} pops (n = {n})"
+            );
+            assert_eq!(pending, eager_len, "pending siblings after n = {n}");
+        }
+    }
+
+    #[test]
+    fn only_the_building_query_reports_explore_time() {
+        let session = Engine::default().prepare(&env_a());
+        let query = Query::new(Ty::base("File"));
+        let first = session.query(&query);
+        assert_eq!(session.graph_build_count(), 1);
+        assert!(first.timings.explore > Duration::ZERO);
+        assert!(first.timings.patterns > Duration::ZERO);
+
+        // A cache hit spent nothing on exploration or pattern generation,
+        // and says so; its statistics are the build's.
+        let repeat = session.query(&query);
+        assert_eq!(session.graph_build_count(), 1);
+        assert_eq!(repeat.timings.explore, Duration::ZERO);
+        assert_eq!(repeat.timings.patterns, Duration::ZERO);
+        assert_eq!(
+            repeat.stats.requests_processed,
+            first.stats.requests_processed
+        );
+        assert_eq!(repeat.stats.patterns, first.stats.patterns);
+        assert_eq!(render(&repeat), render(&first));
     }
 
     #[test]

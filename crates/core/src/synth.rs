@@ -111,11 +111,14 @@ pub struct Snippet {
 }
 
 /// Wall-clock breakdown of one query (the Prove / Recon columns of Table 2).
+/// A query that reuses a cached derivation graph spends no exploration or
+/// pattern-generation time and reports zero for both.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTimings {
     /// Exploration phase duration.
     pub explore: Duration,
-    /// Pattern generation phase duration.
+    /// Pattern generation phase duration (with the graph build, or the
+    /// graph patch that replaced both phases).
     pub patterns: Duration,
     /// Term reconstruction phase duration.
     pub reconstruction: Duration,

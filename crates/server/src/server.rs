@@ -512,6 +512,10 @@ impl Server {
                     ("prepare_count", Json::from(engine.prepare_count)),
                     ("graph_build_count", Json::from(engine.graph_build_count)),
                     ("graph_patch_count", Json::from(engine.graph_patch_count)),
+                    (
+                        "graph_eviction_count",
+                        Json::from(engine.graph_eviction_count),
+                    ),
                     ("cached_point_count", Json::from(engine.cached_point_count)),
                     ("cached_graph_count", Json::from(engine.cached_graph_count)),
                     (

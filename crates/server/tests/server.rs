@@ -133,6 +133,7 @@ fn scripted_session_is_byte_stable_and_honors_the_protocol() {
     assert_eq!(field(engine, &["prepare_count"]).as_u64(), Some(1));
     assert_eq!(field(engine, &["graph_build_count"]).as_u64(), Some(1));
     assert_eq!(field(engine, &["graph_patch_count"]).as_u64(), Some(0));
+    assert_eq!(field(engine, &["graph_eviction_count"]).as_u64(), Some(0));
     assert_eq!(field(engine, &["suspended_walk_count"]).as_u64(), Some(1));
 
     // 5: env/update — same session id, new fingerprint, three decls.

@@ -110,6 +110,7 @@ proptest! {
         prop_assert_eq!(srv.prepares, lib.prepares);
         prop_assert_eq!(srv.graph_builds, lib.graph_builds);
         prop_assert_eq!(srv.graph_patches, lib.graph_patches);
+        prop_assert_eq!(srv.graph_evictions, lib.graph_evictions);
 
         // Scripted transcript: render every request up front, feed the batch
         // through `serve_script`, digest the response lines.
