@@ -70,22 +70,9 @@ fn phase_breakdown(c: &mut Criterion) {
         })
     });
 
-    // Warm: the persisted walk caches (hole-goal memo, expansion lists) are
-    // populated by the first iteration and reused by the rest — the state a
-    // session's repeated same-goal queries run in.
     c.bench_function("reconstruct/figure1", |bencher| {
         let graph = build_graph(&env, &weights, &goal);
         bencher.iter(|| black_box(generate_terms(&graph, &env, 10, &GenerateLimits::default())))
-    });
-
-    // Cold: clearing the persisted caches each iteration measures the
-    // first-query cost (the clear itself is trivial next to the walk).
-    c.bench_function("reconstruct_cold/figure1", |bencher| {
-        let graph = build_graph(&env, &weights, &goal);
-        bencher.iter(|| {
-            graph.clear_walk_caches();
-            black_box(generate_terms(&graph, &env, 10, &GenerateLimits::default()))
-        })
     });
 
     // The A* vs plain best-first walk ablation on the same graph (the

@@ -34,16 +34,11 @@
 //! workspace root; pass a path to write elsewhere. Numbers are wall-clock and
 //! machine-specific: regenerate the file on the machine you compare on.
 //!
-//! Cross-point and walk-cache entries (the content-addressing PR):
+//! Cross-point entries (the content-addressing PR):
 //!
 //! * `session_amortization/prepare_fingerprint_hit` — preparing the
 //!   identical environment again on a warm engine (hash + declaration-list
 //!   comparison, no σ).
-//! * `gent_ablation/astar_walk` is measured **warm** (the persisted
-//!   per-walk hole-goal memo and expansion cache are reused, as in a
-//!   session's repeated queries); `astar_walk_cold` clears the persisted
-//!   caches every iteration and records the first-query cost the warm
-//!   number is measured against.
 //!
 //! Resumable-enumeration entries (the streamed-walk PR):
 //!
@@ -466,28 +461,6 @@ fn main() {
         let graph = build_graph(&env, &weights, &goal);
         let limits = GenerateLimits::default();
 
-        // Cold first: the persisted walk caches are cleared every iteration,
-        // recording the first-query cost (the clear itself is trivial).
-        eprintln!("measuring gent_ablation/astar_walk_cold/{env_size} …");
-        let (samples, iters, min, median, mean) = measure(10, || {
-            graph.clear_walk_caches();
-            generate_terms(&graph, &env, 10, &limits)
-        });
-        measurements.push(Measurement {
-            bench: "phases",
-            group: "gent_ablation",
-            id: "astar_walk_cold".to_owned(),
-            env_size,
-            samples,
-            iters_per_sample: iters,
-            min_ns: min,
-            median_ns: median,
-            mean_ns: mean,
-            growth_exponent: None,
-        });
-
-        // Warm: the persisted hole-goal memo and expansion cache are reused
-        // across iterations — the state of a session's repeated queries.
         eprintln!("measuring gent_ablation/astar_walk/{env_size} …");
         let (samples, iters, min, median, mean) =
             measure(10, || generate_terms(&graph, &env, 10, &limits));

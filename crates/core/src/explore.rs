@@ -65,14 +65,6 @@ pub struct SearchSpace {
     /// property of the moment, not of the input — results derived from such
     /// a space must not be cached (see the session's graph cache).
     pub time_truncated: bool,
-    /// The *distinct* return-type symbols of the processed (stripped)
-    /// requests, in first-processed order. A declaration participates in
-    /// this exploration — as a match, a weight in the queue ordering, or a
-    /// `Select` edge downstream — only if its σ return symbol appears here;
-    /// the session's edit-time delta path uses that to decide which cached
-    /// artifacts an environment change can possibly affect. Bounded by the
-    /// number of distinct base types, not by the request count.
-    pub processed_rets: Vec<Symbol>,
 }
 
 /// Runs the exploration phase for the goal type `goal` (already in succinct
@@ -123,13 +115,11 @@ pub fn explore(
 
     let mut visited: IdHashSet<BaseRequest> = IdHashSet::default();
     let mut index = MatchIndex::default();
-    let mut seen_rets: IdHashSet<Symbol> = IdHashSet::default();
     let mut space = SearchSpace {
         terms: Vec::new(),
         requests_processed: 0,
         truncated: false,
         time_truncated: false,
-        processed_rets: Vec::new(),
     };
 
     while let Some(entry) = queue.pop() {
@@ -150,9 +140,6 @@ pub fn explore(
             continue;
         }
         space.requests_processed += 1;
-        if seen_rets.insert(stripped.ret) {
-            space.processed_rets.push(stripped.ret);
-        }
 
         let found = index.match_terms(store, stripped);
         for term in &found {

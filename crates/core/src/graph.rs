@@ -83,23 +83,14 @@
 //! [`ScratchStore`]), and the heuristic is part of it, which is what lets a
 //! [`Session`](crate::Session) cache both and answer repeated queries
 //! without re-running exploration, pattern generation or the Dijkstra pass.
-//! Two further pieces of sharing keep cached graphs cheap:
-//!
-//! * the **base environment table is not snapshotted** — the graph holds an
-//!   `Arc` of the [`PreparedEnv`] it was built over and resolves base-store
-//!   environments through it, copying only the query-local overlay
-//!   environments, so every graph cached for one program point shares the
-//!   prepared point's interned tables;
-//! * the **per-walk caches persist on the graph** — the hole-goal memo (goal
-//!   resolution + completion bound per `(environment, hole type)`) and the
-//!   expansion cache (dead-checked, bound-summed declaration successors per
-//!   `(environment, goal)`) are keyed by graph-local ids only, so they are
-//!   taken over by the next walk instead of being rebuilt from scratch; the
-//!   first pop of a paper-scale walk resolves thousands of edges, and
-//!   repeated same-goal queries now skip exactly that work. (The caches are
-//!   mode-specific: a walk forced into the other ordering — e.g.
-//!   [`generate_terms_best_first`] on a heuristic-carrying graph — uses
-//!   private caches and leaves the persisted ones untouched.)
+//! The **base environment table is not snapshotted**: the graph holds an
+//! `Arc` of the [`PreparedEnv`] it was built over and resolves base-store
+//! environments through it, copying only the query-local overlay
+//! environments, so every graph cached for one program point shares the
+//! prepared point's interned tables. The graph itself is immutable: the
+//! per-walk caches (the hole-goal memo and the expansion cache) live on the
+//! [`WalkState`], and a follow-up query reuses them by resuming the walk the
+//! session parked.
 //!
 //! # Building the graph
 //!
@@ -149,7 +140,7 @@
 //! node keeps another tight edge whose tails all bound strictly lower —
 //! strictly, because a tight zero-weight edge back into its own node
 //! supports nothing. Otherwise the Dijkstra pass reruns on the patched
-//! graph. Walk caches start empty; a patched graph shares no walk state.
+//! graph.
 //!
 //! # Example
 //!
@@ -186,7 +177,7 @@
 use std::cmp::Reverse;
 use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::Arc;
 use std::time::Instant;
 
 use insynth_intern::{IdHashMap, IdHashSet, Symbol};
@@ -371,13 +362,6 @@ pub struct DerivationGraph {
     /// Per-goal completion lower bounds (the A* heuristic), computed once at
     /// build time; `None` when the graph is not monotone.
     heuristic: Option<Heuristic>,
-    /// Persisted hole-goal memo: goal resolution + completion bound per
-    /// `(environment, hole type)`, accumulated across walks in the graph's
-    /// natural mode (values are deterministic, so merging is safe).
-    walk_memo: Mutex<WalkMemo>,
-    /// Persisted expansion cache: the dead-checked, bound-summed
-    /// declaration-headed successors per `(environment, goal node)`.
-    walk_expansions: Mutex<ExpansionCache>,
 }
 
 /// The hole-goal memo's shape: per `(environment, hole type)`, the resolved
@@ -541,8 +525,7 @@ impl DerivationGraph {
         graph
     }
 
-    /// A graph over `shape` and `edges` with empty walk caches and no
-    /// heuristic yet.
+    /// A graph over `shape` and `edges` with no heuristic yet.
     fn with_edges(
         prepared: &Arc<PreparedEnv>,
         shape: Arc<GraphShape>,
@@ -557,8 +540,6 @@ impl DerivationGraph {
             ty_intro_decl,
             monotone,
             heuristic: None,
-            walk_memo: Mutex::new(WalkMemo::default()),
-            walk_expansions: Mutex::new(ExpansionCache::default()),
         }
     }
 
@@ -574,9 +555,8 @@ impl DerivationGraph {
     /// `env` counts as added. A patch shares this graph's
     /// goal nodes, variants, hole types and overlay environments, and
     /// rebuilds only the edge slab; the completion bounds are reused when
-    /// the edit provably leaves them unchanged and recomputed otherwise. The
-    /// walk caches start empty. See *Patching the graph* in the module docs
-    /// for the conditions.
+    /// the edit provably leaves them unchanged and recomputed otherwise. See
+    /// *Patching the graph* in the module docs for the conditions.
     pub fn patch(
         &self,
         prepared: &Arc<PreparedEnv>,
@@ -819,8 +799,7 @@ impl DerivationGraph {
     /// Byte-level identity against another graph: the goal nodes, variants,
     /// edges (declarations, weight bits, argument hole types), hole types
     /// and where they were interned, overlay environments, monotonicity and
-    /// the bits of every completion bound. The walk caches are not compared;
-    /// they never change what a walk emits. The patch property test holds
+    /// the bits of every completion bound. The patch property test holds
     /// [`DerivationGraph::patch`] to it against a fresh build.
     pub fn identical_to(&self, other: &DerivationGraph) -> bool {
         let bits = |weights: &[Weight]| -> Vec<u64> {
@@ -935,27 +914,6 @@ impl DerivationGraph {
         let node = *self.shape.goal_ids.get(&(env, info.ret))?;
         Some((env, node))
     }
-
-    /// Drops the persisted walk caches (hole-goal memo and expansion lists).
-    /// Purely a memory/benchmarking lever: the caches are rebuilt on demand
-    /// and never affect what a walk emits.
-    pub fn clear_walk_caches(&self) {
-        lock_recovering(&self.walk_memo).clear();
-        lock_recovering(&self.walk_expansions).clear();
-    }
-
-    /// Number of persisted hole-goal memo entries (observability for tests
-    /// and benchmarks; see [`DerivationGraph::clear_walk_caches`]).
-    pub fn walk_memo_len(&self) -> usize {
-        lock_recovering(&self.walk_memo).len()
-    }
-}
-
-/// Locks a mutex, recovering from poisoning: the walk caches only ever hold
-/// fully computed, deterministic values, so state abandoned by a panicking
-/// thread is safe to adopt.
-pub(crate) fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// The hole types interned by one graph build.
@@ -1169,9 +1127,8 @@ fn compute_heuristic(graph: &DerivationGraph) -> Heuristic {
 
 /// One memoized pattern of a goal node in a concrete environment: the
 /// succinct head type binders are matched against, plus the surviving
-/// (non-dead) declaration-headed successors. Declaration-only (binder heads
-/// depend on the scope at the hole and are enumerated per pop), which keeps
-/// the cache `Send + Sync` so it can persist on the shared graph.
+/// (non-dead) declaration-headed successors. Declaration-only: binder heads
+/// depend on the scope at the hole and are enumerated per pop.
 #[derive(Debug)]
 struct CachedVariant {
     wanted: SuccinctTyId,
@@ -1751,7 +1708,6 @@ fn walk(
             .step_impl(graph, env, limits, &start, Some(&mut bounded))
             .is_some()
     {}
-    state.merge_caches_into(graph);
 
     outcome.steps = state.steps;
     outcome.pruned_enqueues = state.pruned_enqueues;
@@ -1793,7 +1749,7 @@ pub(crate) struct EmittedTerm {
     pub(crate) truncated: bool,
 }
 
-/// The complete, persistable state of one reconstruction walk: the frontier
+/// The complete, parkable state of one reconstruction walk: the frontier
 /// heap, the per-walk memo caches, the tie-break counters and the emission
 /// log — the former `walk` locals, extracted so a walk can be suspended
 /// after any emission and resumed later. This is the engine shared by the
@@ -1818,7 +1774,7 @@ pub(crate) struct EmittedTerm {
 /// truncation, so a suspended state whose `time_truncated` flag is unset
 /// replays exactly what a from-scratch walk would have done — the invariant
 /// the session layer's resume discipline is built on (a time-truncated
-/// state is never persisted).
+/// state is never parked).
 pub(crate) struct WalkState {
     queue: BinaryHeap<Block>,
     /// Siblings pending across every block of `queue` — the frontier size
@@ -1826,8 +1782,6 @@ pub(crate) struct WalkState {
     pending: usize,
     memo: WalkMemo,
     expansions: ExpansionCache,
-    seeded_memo: usize,
-    seeded_expansions: usize,
     seq: u64,
     steps: usize,
     pruned_enqueues: usize,
@@ -1837,47 +1791,26 @@ pub(crate) struct WalkState {
     cancelled: bool,
     exhausted: bool,
     astar: bool,
-    /// Whether this walk runs in the graph's natural mode and therefore
-    /// exchanges warm hole-goal/expansion caches with it.
-    persist: bool,
+}
+
+impl std::fmt::Debug for WalkState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WalkState")
+            .field("steps", &self.steps)
+            .field("emitted", &self.emitted.len())
+            .field("pending", &self.pending)
+            .finish_non_exhaustive()
+    }
 }
 
 impl WalkState {
-    /// Seeds a walk over `graph`: clones the persisted per-walk caches (when
-    /// running in the graph's natural mode), resolves the root goal and
-    /// enqueues the root hole. `astar` selects the queue order — callers
-    /// pass [`DerivationGraph::has_heuristic`] for the natural mode.
+    /// Seeds a walk over `graph` with empty hole-goal and expansion caches:
+    /// resolves the root goal and enqueues the root hole. `astar` selects the
+    /// queue order — callers pass [`DerivationGraph::has_heuristic`] for the
+    /// natural mode. The caches fill as the walk pops and travel with the
+    /// state, so a resumed walk keeps everything it learned.
     pub(crate) fn new(graph: &DerivationGraph, astar: bool) -> WalkState {
-        // Hole-goal memo and expansion cache. Both are keyed by graph-local
-        // ids only and their values are deterministic, so when the walk runs
-        // in the graph's natural mode (the memoized costs depend on whether
-        // the heuristic is consulted) it *clones* the caches persisted on
-        // the graph (cheap: `Copy` values and `Arc` handles), extends them,
-        // and merges them back when it suspends or finishes — repeated
-        // same-goal queries skip rebuilding them from scratch, and
-        // concurrent walks each start warm (a take-based scheme would leave
-        // the second concurrent walk cold). A walk forced into the other
-        // mode (e.g. [`generate_terms_best_first`] on a heuristic-carrying
-        // graph) uses private caches and leaves the persisted ones
-        // untouched.
-        let persist = astar == graph.heuristic.is_some();
-        let mut memo: WalkMemo = if persist {
-            lock_recovering(&graph.walk_memo).clone()
-        } else {
-            WalkMemo::default()
-        };
-        let expansions: ExpansionCache = if persist {
-            lock_recovering(&graph.walk_expansions).clone()
-        } else {
-            ExpansionCache::default()
-        };
-        // The merge back is skipped when the walk added nothing — after
-        // warm-up the caches are saturated for a goal, and re-inserting
-        // every unchanged entry under the mutex would serialize concurrent
-        // warm walks on no-op work.
-        let seeded_memo = memo.len();
-        let seeded_expansions = expansions.len();
-
+        let mut memo = WalkMemo::default();
         let heuristic = if astar {
             graph.heuristic.as_ref()
         } else {
@@ -1920,9 +1853,7 @@ impl WalkState {
             queue,
             pending: 1,
             memo,
-            expansions,
-            seeded_memo,
-            seeded_expansions,
+            expansions: ExpansionCache::default(),
             seq: 0,
             steps: 0,
             pruned_enqueues: 0,
@@ -1932,7 +1863,6 @@ impl WalkState {
             cancelled: false,
             exhausted: false,
             astar,
-            persist,
         }
     }
 
@@ -1974,7 +1904,7 @@ impl WalkState {
     /// The stop happens at a pop boundary (before anything leaves the
     /// frontier), so the frontier itself stays consistent — but *when* the
     /// flag landed is a property of the moment, so the session layer treats
-    /// a cancelled state like a time-truncated one and never persists it.
+    /// a cancelled state like a time-truncated one and never parks it.
     pub(crate) fn cancelled(&self) -> bool {
         self.cancelled
     }
@@ -2115,8 +2045,7 @@ impl WalkState {
 
             // Declaration-headed successors of this (environment, goal)
             // pair, dead-checked and bound-summed once, then reused by every
-            // later pop of the same pair (and, via the persisted cache, by
-            // later walks).
+            // later pop of the same pair.
             if !self.expansions.contains_key(&(node_env, node)) {
                 let memo = &mut self.memo;
                 let built: Arc<[CachedVariant]> = graph
@@ -2324,65 +2253,6 @@ impl WalkState {
                     binders,
                 });
             }
-        }
-    }
-
-    /// Move-merges this walk's cache additions into the graph's persisted
-    /// caches — the finishing step of the n-bounded entry points, which
-    /// discard the state afterwards. Merge (rather than overwrite) so
-    /// concurrent walks do not lose each other's additions; values are
-    /// deterministic, so colliding keys carry identical entries. Walks that
-    /// learned nothing skip the merge entirely.
-    fn merge_caches_into(&mut self, graph: &DerivationGraph) {
-        if !self.persist {
-            return;
-        }
-        if self.memo.len() > self.seeded_memo {
-            let memo = std::mem::take(&mut self.memo);
-            let mut shared = lock_recovering(&graph.walk_memo);
-            if shared.is_empty() {
-                *shared = memo;
-            } else {
-                shared.extend(memo);
-            }
-        }
-        if self.expansions.len() > self.seeded_expansions {
-            let expansions = std::mem::take(&mut self.expansions);
-            let mut shared = lock_recovering(&graph.walk_expansions);
-            if shared.is_empty() {
-                *shared = expansions;
-            } else {
-                shared.extend(expansions);
-            }
-        }
-    }
-
-    /// Clone-merges this walk's cache additions into the graph's persisted
-    /// caches, keeping the state usable — the suspension step of a streamed
-    /// walk, which parks the state for a later resume. Idempotent: the
-    /// seeded watermarks advance, so a second sync with no new entries is a
-    /// no-op.
-    pub(crate) fn sync_caches_into(&mut self, graph: &DerivationGraph) {
-        if !self.persist {
-            return;
-        }
-        if self.memo.len() > self.seeded_memo {
-            let mut shared = lock_recovering(&graph.walk_memo);
-            if shared.is_empty() {
-                *shared = self.memo.clone();
-            } else {
-                shared.extend(self.memo.iter().map(|(&k, &v)| (k, v)));
-            }
-            self.seeded_memo = self.memo.len();
-        }
-        if self.expansions.len() > self.seeded_expansions {
-            let mut shared = lock_recovering(&graph.walk_expansions);
-            if shared.is_empty() {
-                *shared = self.expansions.clone();
-            } else {
-                shared.extend(self.expansions.iter().map(|(k, v)| (*k, Arc::clone(v))));
-            }
-            self.seeded_expansions = self.expansions.len();
         }
     }
 }
@@ -2593,6 +2463,15 @@ mod tests {
         assert!(astar.steps <= best_first.steps);
         assert!(astar.astar);
         assert!(!best_first.astar);
+
+        // A second walk over the same graph repeats the first exactly, and a
+        // smaller n emits its prefix.
+        let again = generate_terms(&graph, &env, 6, &limits);
+        assert_eq!(rendered(&again), rendered(&astar));
+        assert_eq!(again.steps, astar.steps);
+        assert_eq!(again.pruned_enqueues, astar.pruned_enqueues);
+        let fewer = generate_terms(&graph, &env, 2, &limits);
+        assert_eq!(rendered(&fewer), rendered(&astar)[..2].to_vec());
     }
 
     #[test]
@@ -2737,58 +2616,6 @@ mod tests {
             s(lift(var1 => s(var1))), lift(var1 => s(s(var1))), s(join(a, a))",
         ];
         assert_eq!(seen, expected);
-    }
-
-    #[test]
-    fn persisted_walk_caches_accumulate_and_never_change_results() {
-        let decls = vec![
-            Declaration::new("a", Ty::base("A"), DeclKind::Local),
-            Declaration::new(
-                "s",
-                Ty::fun(vec![Ty::base("A")], Ty::base("A")),
-                DeclKind::Local,
-            ),
-            Declaration::new(
-                "join",
-                Ty::fun(vec![Ty::base("A"), Ty::base("A")], Ty::base("A")),
-                DeclKind::Imported,
-            ),
-        ];
-        let env: TypeEnv = decls.iter().cloned().collect();
-        let limits = GenerateLimits {
-            max_depth: Some(4),
-            ..GenerateLimits::default()
-        };
-        let (cold, _, graph) = both_walks(decls, Ty::base("A"), 6, &limits);
-        assert!(
-            graph.walk_memo_len() > 0,
-            "the natural-mode walk persists its hole-goal memo"
-        );
-
-        // Warm walk: same results, same pop count, memo reused.
-        let warm = generate_terms(&graph, &env, 6, &limits);
-        assert_eq!(rendered(&warm), rendered(&cold));
-        assert_eq!(warm.steps, cold.steps);
-        assert_eq!(warm.pruned_enqueues, cold.pruned_enqueues);
-
-        // A different n shares the caches too (they are n-independent).
-        let fewer = generate_terms(&graph, &env, 2, &limits);
-        assert_eq!(rendered(&fewer), rendered(&cold)[..2].to_vec());
-
-        // The forced best-first walk on this heuristic-carrying graph must
-        // not adopt (or pollute) the A*-mode caches — its memoized costs
-        // would disagree — and still emits the identical list.
-        let memo_before = graph.walk_memo_len();
-        let best_first = generate_terms_best_first(&graph, &env, 6, &limits);
-        assert_eq!(rendered(&best_first), rendered(&cold));
-        assert_eq!(graph.walk_memo_len(), memo_before);
-
-        // Clearing is semantically invisible.
-        graph.clear_walk_caches();
-        assert_eq!(graph.walk_memo_len(), 0);
-        let recold = generate_terms(&graph, &env, 6, &limits);
-        assert_eq!(rendered(&recold), rendered(&cold));
-        assert_eq!(recold.steps, cold.steps);
     }
 
     #[test]

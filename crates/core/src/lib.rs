@@ -50,9 +50,8 @@
 //! [`Session::update`] applies an [`EnvDelta`] (add / remove / reweight
 //! declarations) and re-prepares incrementally, re-running σ only on the
 //! appended declarations — removals of declarations whose types the rest of
-//! the environment already interns included — and carrying over every
-//! cached graph an append or reweight provably cannot affect —
-//! byte-identical to a fresh preparation of the edited environment. When
+//! the environment already interns included — byte-identical to a fresh
+//! preparation of the edited environment. When
 //! the edit leaves the σ-level space alone (it adds, removes or reweights
 //! declarations of succinct types Γ already has), the edited point *patches*
 //! its parent's graphs on a cache miss ([`DerivationGraph::patch`]):

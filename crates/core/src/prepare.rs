@@ -391,8 +391,9 @@ impl PreparedEnv {
     /// non-negative — the condition for the A* completion-cost heuristic.
     /// One definition shared by the graph build (which bakes the resulting
     /// `monotone` flag into every [`DerivationGraph`](crate::DerivationGraph))
-    /// and the session's delta path (which refuses to carry cached graphs
-    /// across an edit that flips this predicate): the two must never diverge.
+    /// and [`DerivationGraph::patch`](crate::DerivationGraph::patch) (which
+    /// declines an edit that flips this predicate): the two must never
+    /// diverge.
     pub fn weights_monotone(&self, weights: &WeightConfig) -> bool {
         weights.lambda_weight().is_non_negative()
             && self.decl_weight.iter().all(|w| w.is_non_negative())
@@ -637,7 +638,8 @@ mod tests {
         assert_eq!(incremental.ty_weight, fresh.ty_weight);
         // Type interning replays identically (same ids, same count); the
         // initial environment agrees as a member set (its *id* may lag by
-        // the carried-over old initial environment, which is inert).
+        // the old initial environment the incremental store keeps, which is
+        // inert).
         assert_eq!(incremental.store.ty_count(), fresh.store.ty_count());
         assert_eq!(
             incremental.store.env_types(incremental.init_env),
@@ -649,8 +651,8 @@ mod tests {
         );
 
         // An appended duplicate of an existing type keeps the initial
-        // environment's identity — the condition the session's carry-over
-        // path checks.
+        // environment's identity — part of the σ-inert condition
+        // (`same_sigma_space`) under which a graph can be patched.
         let mut dup_env = old_env.clone();
         dup_env.push(Declaration::new("a2", Ty::base("Int"), DeclKind::Package));
         let dup = PreparedEnv::prepare_incremental(

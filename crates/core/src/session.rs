@@ -33,13 +33,11 @@
 //!   point whose results are byte-identical to a fresh [`Engine::prepare`]
 //!   of the edited environment. Appends, reweights and removals of
 //!   declarations whose types the rest of the environment already interns
-//!   re-run σ only on the appended declarations; appends and reweights also
-//!   carry over every cached graph the change provably cannot affect. An
-//!   edit that leaves the σ-level space alone does no graph work at all: a
-//!   graph-cache miss on the edited point patches the nearest ancestor
-//!   revision's graph ([`DerivationGraph::patch`]) instead of re-running
-//!   exploration and pattern generation. Other removals and oversized
-//!   deltas fall back to a fresh preparation.
+//!   re-run σ only on the appended declarations; other removals and
+//!   oversized deltas fall back to a fresh preparation. An edit does no
+//!   graph work: a graph-cache miss on the edited point patches the nearest
+//!   ancestor revision's graph ([`DerivationGraph::patch`]) when the edit
+//!   left the σ-level space alone, and builds otherwise.
 //!
 //! # Example
 //!
@@ -76,10 +74,12 @@
 //! assert_eq!(engine.prepare_count(), 2); // env + edited env, not 3
 //! ```
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak};
+use std::sync::{
+    Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard, Weak,
+};
 use std::time::{Duration, Instant};
 
 use insynth_analysis::{analyze, AnalysisReport, DeclFacts};
@@ -91,7 +91,7 @@ use crate::decl::{Declaration, TypeEnv};
 use crate::explore::{explore, ExploreLimits};
 use crate::genp::generate_patterns;
 use crate::gent::{CancelToken, GenerateLimits, RankedTerm};
-use crate::graph::{lock_recovering, DerivationGraph, WalkState, DECL_REMOVED};
+use crate::graph::{DerivationGraph, WalkState, DECL_REMOVED};
 use crate::prepare::PreparedEnv;
 use crate::synth::{PhaseTimings, Snippet, SynthesisConfig, SynthesisResult, SynthesisStats};
 
@@ -136,13 +136,14 @@ pub struct EngineStatsSnapshot {
     /// of built (see [`Session::update`]).
     pub graph_patch_count: usize,
     /// Derivation-graph artifacts evicted by the graph cache's LRU bound
-    /// ([`SynthesisConfig::graph_cache_capacity`]), parked walks included.
+    /// ([`SynthesisConfig::graph_cache_capacity`]), each with its parked walk.
     pub graph_eviction_count: usize,
     /// Prepared program points currently cached.
     pub cached_point_count: usize,
     /// Derivation-graph artifacts currently cached.
     pub cached_graph_count: usize,
-    /// Suspended walk states currently parked across the cached graphs.
+    /// Suspended walk states currently parked across the cached graphs (at
+    /// most one per graph).
     pub suspended_walk_count: usize,
     /// Environment analyses performed: [`Session::analyze`] runs the
     /// analysis once per prepared point, so the difference between `analyze`
@@ -221,7 +222,6 @@ impl Engine {
             point,
             config: self.config.clone(),
             cache: Arc::clone(&self.cache),
-            graph_builds: AtomicUsize::new(0),
         }
     }
 
@@ -249,7 +249,7 @@ impl Engine {
 
     /// Number of derivation-graph artifacts the graph cache's LRU bound
     /// evicted ([`SynthesisConfig::graph_cache_capacity`]); each eviction
-    /// also drops the walks parked on the artifact.
+    /// also drops the walk parked on the artifact.
     pub fn graph_eviction_count(&self) -> usize {
         self.cache.graph_evictions.load(Ordering::Relaxed)
     }
@@ -261,15 +261,15 @@ impl Engine {
     }
 
     /// Number of suspended walk states currently parked across the engine's
-    /// cached graphs (each graph parks at most four, least recently parked
-    /// evicted first).
+    /// cached graphs (each graph parks at most one, the most recently
+    /// finished).
     pub fn suspended_walk_count(&self) -> usize {
         self.cache
             .read_graphs()
             .values()
             .filter_map(|slot| slot.value.cell.get())
-            .map(|artifacts| artifacts.suspended_walk_count())
-            .sum()
+            .filter(|artifacts| lock_recovering(&artifacts.parked).is_some())
+            .count()
     }
 
     /// Number of derivation-graph artifacts currently cached (bounded by
@@ -329,7 +329,7 @@ impl Engine {
     pub fn clear_suspended_walks(&self) {
         for slot in self.cache.read_graphs().values() {
             if let Some(artifacts) = slot.value.cell.get() {
-                artifacts.clear_suspended();
+                lock_recovering(&artifacts.parked).take();
             }
         }
     }
@@ -648,15 +648,14 @@ struct ArtifactKey {
 /// an ancestor revision's keep its exploration and pattern statistics (the
 /// patch proves exploration replays identically); their explore time is zero
 /// and their pattern time is the patch's.
+///
+/// Artifacts serve only the declaration list they were built (or patched)
+/// for: every session a graph slot serves holds an equal list (see
+/// [`GraphSlot`]), so the graph's `Head::Decl` indices resolve against the
+/// querying session's own environment.
 #[derive(Debug)]
 pub(crate) struct QueryArtifacts {
     graph: DerivationGraph,
-    /// The program point the graph was built (or patched) for. The graph's
-    /// `Head::Decl` edges are indices into *this* point's declaration list,
-    /// so term rendering always resolves against it — never against the
-    /// querying session's (possibly permuted, possibly delta-extended)
-    /// environment.
-    point: Arc<PreparedPoint>,
     explore_time: Duration,
     patterns_time: Duration,
     reachability_terms: usize,
@@ -666,57 +665,27 @@ pub(crate) struct QueryArtifacts {
     /// `true` when the exploration truncation was wall-clock-driven — a
     /// nondeterministic outcome that must not be cached.
     time_truncated: bool,
-    /// Sorted names of every base type exploration requested. A declaration
-    /// can influence this graph — as a match, a queue weight or a `Select`
-    /// edge — only if its return-type name appears here; the delta path
-    /// carries an artifact across an edit exactly when no changed
-    /// declaration's return type does.
-    touched_rets: Box<[String]>,
-    /// Suspended walk states parked on this graph by finished streams, so a
-    /// follow-up query under the same reconstruction budgets resumes the
-    /// walk — popping only the delta — instead of replaying it. Because the
-    /// walks live *on* the artifact, they inherit its lifecycle for free:
-    /// evicting or dropping the artifact drops them — cheaply, since a
-    /// parked frontier holds one sibling block per pop, not one expression
-    /// per successor (see [`WalkState`]) — and the delta
-    /// carry-over path carries them exactly when it carries the graph —
-    /// which it does only when the edit provably cannot reach it. A patched
-    /// artifact starts with none: the edit changed the graph's edges, so no
-    /// ancestor's frontier is valid on it.
-    suspended: Mutex<SuspendedWalks>,
+    /// The walk the last finished stream parked on this graph, with the
+    /// reconstruction budgets that shaped it, so a follow-up query under the
+    /// same budgets resumes the walk — popping only the delta — instead of
+    /// replaying it. The walk lives on the artifact, so evicting or dropping
+    /// the artifact drops it — cheaply, since a parked frontier holds one
+    /// sibling block per pop (see [`WalkState`]). A patched artifact starts
+    /// with none: the edit changed the graph's edges, so no ancestor's
+    /// frontier is valid on it.
+    parked: Mutex<Option<(StreamKey, WalkState)>>,
 }
 
-/// How many suspended walks one cached graph parks at most; the least
-/// recently parked is evicted first.
-const SUSPENDED_WALK_CAPACITY: usize = 4;
-
-/// The suspended walks parked on one cached graph, keyed by the
-/// reconstruction budgets that shaped their trajectories, with a local LRU
-/// clock. Together with the artifact cache's own key this realises the full
-/// `(fingerprint, goal, budgets)` resume key: artifacts are already cached
-/// per `(fingerprint, goal, explore budgets)`, and the weights are fixed per
-/// engine, so a walk can never be resumed across differing weights.
-#[derive(Default)]
-struct SuspendedWalks {
-    clock: u64,
-    walks: HashMap<StreamKey, Stamped<WalkState>>,
-}
-
-impl fmt::Debug for SuspendedWalks {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("SuspendedWalks")
-            .field("walks", &self.walks.len())
-            .finish()
-    }
-}
-
-/// The reconstruction budgets that shape a walk's trajectory — the
-/// per-graph key under which suspended walks are parked and resumed. Two
-/// queries agreeing on every component walk identical trajectories, so the
-/// later one may adopt the earlier one's state; any differing budget starts
-/// fresh. (`max_frontier` is a fixed default on the session path and needs
-/// no component.)
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// The reconstruction budgets that shape a walk's trajectory — the key of
+/// the walk parked on a graph. Together with the artifact cache's own key
+/// this realises the full `(fingerprint, goal, budgets)` resume key:
+/// artifacts are already cached per `(fingerprint, goal, explore budgets)`,
+/// and the weights are fixed per engine. Two queries agreeing on every
+/// component walk identical trajectories, so the later one may adopt the
+/// earlier one's state; any differing budget starts fresh.
+/// (`max_frontier` is a fixed default on the session path and needs no
+/// component.)
+#[derive(Debug, Clone, PartialEq, Eq)]
 struct StreamKey {
     max_steps: usize,
     time_limit: Option<Duration>,
@@ -734,38 +703,29 @@ impl StreamKey {
 }
 
 impl QueryArtifacts {
-    /// Removes (checks out) the suspended walk parked under `key`, if any.
-    /// Removal makes checkout race-free: of two concurrent streams, one
+    /// Takes (checks out) the parked walk when it was parked under `key`.
+    /// Taking makes checkout race-free: of two concurrent streams, one
     /// resumes the walk and the other starts fresh — both byte-identical.
     fn checkout_walk(&self, key: &StreamKey) -> Option<WalkState> {
-        lock_recovering(&self.suspended)
-            .walks
-            .remove(key)
-            .map(|parked| parked.value)
+        lock_recovering(&self.parked)
+            .take_if(|(parked_key, _)| parked_key == key)
+            .map(|(_, state)| state)
     }
 
-    /// Parks (checks in) a suspended walk under `key`, evicting the least
-    /// recently parked walks beyond [`SUSPENDED_WALK_CAPACITY`]. Callers must
-    /// withhold wall-clock-truncated states — those may have lost a partially
-    /// expanded frontier entry and are not safe to resume.
+    /// Parks (checks in) a suspended walk under `key`, replacing whatever
+    /// was parked. Callers must withhold wall-clock-truncated states — those
+    /// may have lost a partially expanded frontier entry and are not safe to
+    /// resume.
     fn checkin_walk(&self, key: StreamKey, state: WalkState) {
-        let mut suspended = lock_recovering(&self.suspended);
-        suspended.clock += 1;
-        let parked = Stamped {
-            value: state,
-            last_used: AtomicU64::new(suspended.clock),
-        };
-        suspended.walks.insert(key, parked);
-        evict_lru(&mut suspended.walks, SUSPENDED_WALK_CAPACITY);
+        // The replaced walk drops after the guard, outside the lock.
+        let _replaced = lock_recovering(&self.parked).replace((key, state));
     }
+}
 
-    fn clear_suspended(&self) {
-        lock_recovering(&self.suspended).walks.clear();
-    }
-
-    fn suspended_walk_count(&self) -> usize {
-        lock_recovering(&self.suspended).walks.len()
-    }
+/// Locks a mutex, recovering from poisoning: a parked walk is only ever
+/// stored whole, so state abandoned by a panicking thread is safe to adopt.
+fn lock_recovering<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// A cached value together with its LRU recency stamp (atomic so hits can
@@ -781,38 +741,47 @@ struct Stamped<T> {
 type GraphCell = Arc<OnceLock<Arc<QueryArtifacts>>>;
 
 /// A cached derivation-graph slot: the build cell plus the prepared point
-/// this cache line serves. Every lookup verifies its session's point against
-/// it (pointer-fast for sessions sharing the point, by list equality
-/// otherwise), so a graph whose `Head::Decl` indices were resolved against
-/// one declaration order can never be rendered through another — and a
-/// fingerprint collision degrades to a private, uncached build.
+/// it was created for, whose declaration list the graph's `Head::Decl`
+/// indices belong to. Every lookup verifies its session's point against it
+/// ([`GraphSlot::serves`]), so a graph resolved against one declaration
+/// order can never be rendered through another — and a fingerprint
+/// collision degrades to a private, uncached build.
 #[derive(Debug)]
 struct GraphSlot {
     cell: GraphCell,
     point: Arc<PreparedPoint>,
 }
 
+impl GraphSlot {
+    /// Whether this slot serves `point`: pointer equality covers every
+    /// session sharing the cached point (the common case); the fallback
+    /// comparison is *exact* — a permuted environment emits equal-weight
+    /// ties in a different order, so sharing its graphs would leak the other
+    /// ordering into this session's results.
+    fn serves(&self, point: &Arc<PreparedPoint>) -> bool {
+        Arc::ptr_eq(&self.point, point) || self.point.env == point.env
+    }
+}
+
 type PointMap = HashMap<EnvFingerprint, Stamped<Arc<PreparedPoint>>>;
 type GraphMap = HashMap<ArtifactKey, Stamped<GraphSlot>>;
 
 /// Evicts least-recently-used entries until `map` fits `capacity`, returning
-/// how many it evicted. The entry a caller just stamped carries the newest
-/// stamp, so it is never the victim.
+/// the evicted values so the caller can drop them after releasing its lock.
+/// The entry a caller just stamped carries the newest stamp, so it is never
+/// the victim.
 fn evict_lru<K: Clone + Eq + std::hash::Hash, T>(
     map: &mut HashMap<K, Stamped<T>>,
     capacity: usize,
-) -> usize {
-    let mut evicted = 0;
+) -> Vec<T> {
+    let mut evicted = Vec::new();
     while map.len() > capacity {
         let victim = map
             .iter()
             .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
             .map(|(key, _)| key.clone());
-        match victim {
-            Some(victim) => {
-                map.remove(&victim);
-                evicted += 1;
-            }
+        match victim.and_then(|victim| map.remove(&victim)) {
+            Some(entry) => evicted.push(entry.value),
             None => break,
         }
     }
@@ -959,15 +928,8 @@ impl ArtifactCache {
         point: &Arc<PreparedPoint>,
         capacity: usize,
     ) -> Option<GraphCell> {
-        // Pointer equality covers every session sharing the cached point
-        // (the common case); the fallback comparison is *exact* — a permuted
-        // environment emits equal-weight ties in a different order, so
-        // sharing its graphs would leak the other ordering into this
-        // session's results.
-        let serves =
-            |slot: &GraphSlot| Arc::ptr_eq(&slot.point, point) || slot.point.env == point.env;
         if let Some(entry) = self.read_graphs().get(&key) {
-            if !serves(&entry.value) {
+            if !entry.value.serves(point) {
                 return None;
             }
             entry.last_used.store(self.stamp(), Ordering::Relaxed);
@@ -982,12 +944,19 @@ impl ArtifactCache {
             },
             last_used: AtomicU64::new(0),
         });
-        if !serves(&entry.value) {
+        if !entry.value.serves(point) {
             return None;
         }
         entry.last_used.store(stamp, Ordering::Relaxed);
         let cell = Arc::clone(&entry.value.cell);
-        self.evict_graphs(&mut graphs, capacity);
+        let evicted = evict_lru(&mut graphs, capacity);
+        drop(graphs);
+        self.graph_evictions
+            .fetch_add(evicted.len(), Ordering::Relaxed);
+        // Dropping an evicted artifact frees its edge slab and parked walk,
+        // about 2 ms on a 14k-declaration graph: done after the write lock
+        // is released, so concurrent lookups never wait for it.
+        drop(evicted);
         Some(cell)
     }
 
@@ -1000,7 +969,7 @@ impl ArtifactCache {
     ) -> Option<Arc<QueryArtifacts>> {
         let graphs = self.read_graphs();
         let slot = &graphs.get(key)?.value;
-        if !Arc::ptr_eq(&slot.point, point) && slot.point.env != point.env {
+        if !slot.serves(point) {
             return None;
         }
         slot.cell.get().cloned()
@@ -1016,62 +985,6 @@ impl ArtifactCache {
                 graphs.remove(key);
             }
         }
-    }
-
-    /// Copies every fully built artifact of `old_point` that `keep` accepts
-    /// to the same key under `new_point`'s fingerprint — the delta path's
-    /// selective carry-over. The new entries serve (and verify against) the
-    /// edited point; the shared artifacts keep referencing their original
-    /// build point, whose declaration prefix the edited environment extends.
-    fn carry_over(
-        &self,
-        old_point: &Arc<PreparedPoint>,
-        new_point: &Arc<PreparedPoint>,
-        capacity: usize,
-        keep: impl Fn(&QueryArtifacts) -> bool,
-    ) {
-        let old_fp = old_point.prepared.fingerprint;
-        let new_fp = new_point.prepared.fingerprint;
-        let survivors: Vec<(ArtifactKey, GraphCell)> = {
-            let graphs = self.read_graphs();
-            graphs
-                .iter()
-                .filter_map(|(key, entry)| {
-                    if key.fingerprint != old_fp || !Arc::ptr_eq(&entry.value.point, old_point) {
-                        return None;
-                    }
-                    // Only fully built cells can be judged (and shared).
-                    let artifacts = entry.value.cell.get()?;
-                    keep(artifacts).then(|| {
-                        let mut new_key = key.clone();
-                        new_key.fingerprint = new_fp;
-                        (new_key, Arc::clone(&entry.value.cell))
-                    })
-                })
-                .collect()
-        };
-        if survivors.is_empty() {
-            return;
-        }
-        let mut graphs = self.write_graphs();
-        for (key, cell) in survivors {
-            let stamp = self.stamp();
-            graphs.entry(key).or_insert(Stamped {
-                value: GraphSlot {
-                    cell,
-                    point: Arc::clone(new_point),
-                },
-                last_used: AtomicU64::new(stamp),
-            });
-        }
-        self.evict_graphs(&mut graphs, capacity);
-    }
-
-    /// Bounds the graph cache to `capacity` by LRU eviction, counting the
-    /// evicted artifacts. Their parked walks drop with them.
-    fn evict_graphs(&self, graphs: &mut GraphMap, capacity: usize) {
-        let evicted = evict_lru(graphs, capacity);
-        self.graph_evictions.fetch_add(evicted, Ordering::Relaxed);
     }
 }
 
@@ -1104,18 +1017,14 @@ impl ArtifactCache {
 /// built values and the locks are recovered on the next access.
 ///
 /// [`Session::update`] derives a session for an *edited* environment,
-/// re-running σ only on the changed declarations and carrying the cached
-/// graphs the edit provably cannot affect; after a σ-inert edit, a graph the
-/// edited session misses is patched from the parent's — see [`EnvDelta`]
-/// and [`Session::update`].
+/// re-running σ only on the changed declarations; after a σ-inert edit, a
+/// graph the edited session misses is patched from the parent's — see
+/// [`EnvDelta`] and [`Session::update`].
 #[derive(Debug)]
 pub struct Session {
     point: Arc<PreparedPoint>,
     config: SynthesisConfig,
     cache: Arc<ArtifactCache>,
-    /// Number of derivation-graph builds this session has performed (cache
-    /// misses and non-cacheable builds).
-    graph_builds: AtomicUsize,
 }
 
 impl Session {
@@ -1148,15 +1057,6 @@ impl Session {
         self.point.prepare_time
     }
 
-    fn count_build(&self) {
-        self.graph_builds.fetch_add(1, Ordering::Relaxed);
-        self.cache.graph_builds.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn count_patch(&self) {
-        self.cache.graph_patches.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Answers one query against this program point.
     ///
     /// Does not re-run σ, and reuses the engine-cached derivation graph when
@@ -1177,13 +1077,13 @@ impl Session {
     /// with a built, untruncated graph for the same goal and budgets, and
     /// patches that graph ([`DerivationGraph::patch`]); without one, or when
     /// the patch cannot be proven exact, it builds. The stream then either
-    /// *resumes* a suspended walk parked by an
-    /// earlier stream under the same reconstruction budgets — popping only
-    /// the delta — or starts a fresh walk. Dropping the stream parks its
-    /// walk state back on the cached artifact (unless wall-clock-truncated),
-    /// so `query(n=10)` followed by `query(n=20)` pays for ten new
-    /// emissions, not thirty. Resumption is an optimisation only: emission
-    /// order, terms and weights are identical either way.
+    /// *resumes* the walk an earlier stream parked on the graph under the
+    /// same reconstruction budgets — popping only the delta — or starts a
+    /// fresh walk. Dropping the stream parks its walk state on the cached
+    /// artifact in place of any other (unless wall-clock-truncated or
+    /// cancelled), so `query(n=10)` followed by `query(n=20)` pays for ten
+    /// new emissions, not thirty. Resumption is an optimisation only:
+    /// emission order, terms and weights are identical either way.
     pub fn query_stream(&self, query: &Query) -> TermStream {
         let config = query.effective_config(&self.config);
         let cell = if self.config.graph_cache_capacity == 0 {
@@ -1207,7 +1107,7 @@ impl Session {
             // declaration list (a permutation or a fingerprint collision):
             // build privately, per query, caching nothing.
             None => {
-                self.count_build();
+                self.cache.graph_builds.fetch_add(1, Ordering::Relaxed);
                 Arc::new(build_artifacts(&self.point, &config, &query.goal))
             }
             Some((key, cell)) => {
@@ -1216,7 +1116,7 @@ impl Session {
                     made_here = true;
                     let patched = self.patch_from_ancestor(&key, &config);
                     Arc::new(patched.unwrap_or_else(|| {
-                        self.count_build();
+                        self.cache.graph_builds.fetch_add(1, Ordering::Relaxed);
                         build_artifacts(&self.point, &config, &query.goal)
                     }))
                 }));
@@ -1233,14 +1133,11 @@ impl Session {
                 artifacts
             }
         };
-        let decls = self.point.env.len();
-        let distinct = self.point.prepared.distinct_succinct_types();
         TermStream::open(
             artifacts,
             made_here,
             config,
-            decls,
-            distinct,
+            Arc::clone(&self.point),
             query.cancel.clone(),
         )
     }
@@ -1290,10 +1187,9 @@ impl Session {
             &config.weights,
             &old_to_new,
         )?;
-        self.count_patch();
+        self.cache.graph_patches.fetch_add(1, Ordering::Relaxed);
         Some(QueryArtifacts {
             graph,
-            point: Arc::clone(&self.point),
             explore_time: Duration::ZERO,
             patterns_time: started.elapsed(),
             reachability_terms: ancestor.reachability_terms,
@@ -1301,8 +1197,7 @@ impl Session {
             patterns: ancestor.patterns,
             explore_truncated: false,
             time_truncated: false,
-            touched_rets: ancestor.touched_rets.clone(),
-            suspended: Mutex::new(SuspendedWalks::default()),
+            parked: Mutex::new(None),
         })
     }
 
@@ -1314,11 +1209,7 @@ impl Session {
     /// work performed:
     ///
     /// * additions and reweights re-run σ only on the appended declarations
-    ///   ([`PreparedEnv::prepare_incremental`]) and **carry over** every
-    ///   cached derivation graph whose exploration provably cannot observe
-    ///   the change (no changed declaration's return type was ever
-    ///   requested, the initial succinct environment is unchanged, and the
-    ///   edit does not flip weight monotonicity);
+    ///   ([`PreparedEnv::prepare_incremental`]);
     /// * a removal stays on the same incremental path when it is *inert*
     ///   ([`PreparedEnv::removal_is_inert`]): every removed declaration's
     ///   type was already interned by an earlier declaration, and its σ
@@ -1331,17 +1222,18 @@ impl Session {
     /// * an incremental edit that is also *σ-inert*
     ///   ([`PreparedEnv::same_sigma_space`]: it interned no type and no
     ///   environment — adding, removing or reweighting locals of types Γ
-    ///   already has) links the edited point to this one and does no graph
-    ///   work. Graphs are not carried across a removal (declaration indices
-    ///   shift); instead, a graph-cache miss on the edited point *patches*
-    ///   the nearest ancestor's graph for the same goal and budgets
-    ///   ([`DerivationGraph::patch`]) when exploration would replay
-    ///   identically, and builds otherwise;
+    ///   already has) links the edited point to this one. A graph-cache miss
+    ///   on the edited point then *patches* the nearest ancestor's graph for
+    ///   the same goal and budgets ([`DerivationGraph::patch`]) when
+    ///   exploration would replay identically, and builds otherwise;
     /// * a no-op delta (or one whose result is already cached) returns a
     ///   session sharing the existing point outright. As in
     ///   [`Engine::prepare`], only the identical declaration list is shared:
     ///   a cached permutation is prepared past (uncached) rather than
     ///   adopted.
+    ///
+    /// No edit does graph work here: the edited point starts with no cached
+    /// graph, and its first query per goal patches or builds.
     ///
     /// The original session remains fully usable — sessions are immutable;
     /// an editor keeps one session per open revision if it wants to.
@@ -1400,37 +1292,6 @@ impl Session {
             ..PreparedPoint::new(new_env, prepared, prepare_time)
         });
 
-        if incremental && removed == 0 && self.config.graph_cache_capacity > 0 {
-            // Selective carry-over: a cached graph survives the edit iff a
-            // fresh build against the edited environment would be identical.
-            // That holds when (a) the initial succinct environment kept its
-            // identity (no brand-new declaration *type* entered Γ), (b) the
-            // edit does not flip weight monotonicity (which selects between
-            // the A* and best-first regimes globally), and (c) the goal's
-            // exploration never requested any changed declaration's return
-            // type — a declaration can influence exploration order, matches
-            // or `Select` edges only through requests for its return type.
-            let old_monotone = old_point.prepared.weights_monotone(&self.config.weights);
-            let new_monotone = point.prepared.weights_monotone(&self.config.weights);
-            if point.prepared.init_env == old_point.prepared.init_env
-                && old_monotone == new_monotone
-            {
-                let changed = changed_ret_names(&old_point.prepared, &point.prepared, &point.env);
-                self.cache.carry_over(
-                    old_point,
-                    &point,
-                    self.config.graph_cache_capacity,
-                    |artifacts| {
-                        !artifacts.explore_truncated
-                            && !artifacts.time_truncated
-                            && changed
-                                .iter()
-                                .all(|ret| artifacts.touched_rets.binary_search(ret).is_err())
-                    },
-                );
-            }
-        }
-
         let point = if point_capacity > 0 {
             self.cache.insert_point(point, point_capacity)
         } else {
@@ -1444,30 +1305,22 @@ impl Session {
             point,
             config: self.config.clone(),
             cache: Arc::clone(&self.cache),
-            graph_builds: AtomicUsize::new(0),
         }
     }
 
     /// Number of derivation graphs currently cached for this session's
     /// program point (one per distinct goal/prover-budget combination
     /// queried so far, bounded — together with every other point's graphs —
-    /// by [`SynthesisConfig::graph_cache_capacity`]).
+    /// by [`SynthesisConfig::graph_cache_capacity`]). A graph cached for a
+    /// permutation of this point's declaration list shares the fingerprint
+    /// but not the answers, so it does not count.
     pub fn cached_graph_count(&self) -> usize {
         let fingerprint = self.fingerprint();
         self.cache
             .read_graphs()
-            .keys()
-            .filter(|key| key.fingerprint == fingerprint)
+            .iter()
+            .filter(|(key, slot)| key.fingerprint == fingerprint && slot.value.serves(&self.point))
             .count()
-    }
-
-    /// Number of derivation-graph builds this session has performed — cache
-    /// misses no ancestor's graph could be patched for, plus non-cacheable
-    /// builds (wall-clock-truncated explorations, keys held by a different
-    /// declaration list). (The engine-wide totals, across sessions, are
-    /// [`Engine::graph_build_count`] and [`Engine::graph_patch_count`].)
-    pub fn graph_build_count(&self) -> usize {
-        self.graph_builds.load(Ordering::Relaxed)
     }
 
     /// Decides inhabitation only (the "prover" mode used for the Imogen/fCube
@@ -1533,34 +1386,9 @@ fn analyze_point(point: &Arc<PreparedPoint>, config: &SynthesisConfig) -> Analys
     )
 }
 
-/// The sorted return-type names of every declaration whose effective weight
-/// changed between the two (prefix-aligned) preparations, plus those of every
-/// appended declaration — the set of base types an edit can influence
-/// exploration through.
-fn changed_ret_names(
-    old_prepared: &PreparedEnv,
-    new_prepared: &PreparedEnv,
-    new_env: &TypeEnv,
-) -> Vec<String> {
-    let prefix_len = old_prepared.decl_weight.len();
-    let mut changed: BTreeSet<String> = BTreeSet::new();
-    for (idx, decl) in new_env.iter().enumerate() {
-        let touched =
-            idx >= prefix_len || old_prepared.decl_weight[idx] != new_prepared.decl_weight[idx];
-        if touched {
-            changed.insert(decl.ty.result_base().to_owned());
-        }
-    }
-    changed.into_iter().collect()
-}
-
 /// Runs exploration, pattern generation and graph compilation for one goal —
 /// the phases the engine caches per [`ArtifactKey`].
-pub(crate) fn build_artifacts(
-    point: &Arc<PreparedPoint>,
-    config: &SynthesisConfig,
-    goal: &Ty,
-) -> QueryArtifacts {
+fn build_artifacts(point: &PreparedPoint, config: &SynthesisConfig, goal: &Ty) -> QueryArtifacts {
     use insynth_succinct::TypeStore;
 
     let prepared = &point.prepared;
@@ -1587,15 +1415,8 @@ pub(crate) fn build_artifacts(
     let graph = DerivationGraph::build(prepared, &mut store, &patterns, env, &config.weights, goal);
     let patterns_time = patterns_started.elapsed();
 
-    let touched: BTreeSet<String> = space
-        .processed_rets
-        .iter()
-        .map(|&sym| store.base_name(sym).to_owned())
-        .collect();
-
     QueryArtifacts {
         graph,
-        point: Arc::clone(point),
         explore_time,
         patterns_time,
         reachability_terms: space.terms.len(),
@@ -1603,8 +1424,7 @@ pub(crate) fn build_artifacts(
         patterns: patterns.len(),
         explore_truncated: space.truncated,
         time_truncated: space.time_truncated,
-        touched_rets: touched.into_iter().collect::<Vec<_>>().into_boxed_slice(),
-        suspended: Mutex::new(SuspendedWalks::default()),
+        parked: Mutex::new(None),
     }
 }
 
@@ -1618,11 +1438,10 @@ pub(crate) fn build_artifacts(
 /// says whether another call could yield — the pagination contract
 /// (`values` + `has_more`) a completion front-end speaks.
 ///
-/// Dropping the stream suspends its walk state back onto the engine-cached
-/// artifact (folding the per-walk memos into the graph's shared caches), so
-/// the next stream or query under the same reconstruction budgets *resumes*
-/// where this one stopped instead of replaying its pops. Resumption never
-/// changes results — only how much work the follow-up pays.
+/// Dropping the stream parks its walk state on the engine-cached artifact,
+/// so the next stream or query under the same reconstruction budgets
+/// *resumes* where this one stopped instead of replaying its pops.
+/// Resumption never changes results — only how much work the follow-up pays.
 pub struct TermStream {
     artifacts: Arc<QueryArtifacts>,
     /// Whether the query that opened this stream built or patched
@@ -1631,10 +1450,9 @@ pub struct TermStream {
     config: SynthesisConfig,
     limits: GenerateLimits,
     key: StreamKey,
-    /// Environment-level statistics of the *querying* session's point
-    /// (which may be a delta-extension of the graph's build point).
-    session_decls: usize,
-    session_distinct: usize,
+    /// The querying session's point: terms render against its declaration
+    /// list, which the artifacts' graph was built (or patched) for.
+    point: Arc<PreparedPoint>,
     /// `Some` until `Drop` takes it for check-in.
     state: Option<WalkState>,
     /// Cursor into the walk's emission log: a resumed walk replays its
@@ -1652,8 +1470,7 @@ impl TermStream {
         artifacts: Arc<QueryArtifacts>,
         made_here: bool,
         config: SynthesisConfig,
-        session_decls: usize,
-        session_distinct: usize,
+        point: Arc<PreparedPoint>,
         cancel: Option<CancelToken>,
     ) -> TermStream {
         let limits = GenerateLimits {
@@ -1678,8 +1495,7 @@ impl TermStream {
             config,
             limits,
             key,
-            session_decls,
-            session_distinct,
+            point,
             state: Some(state),
             pos: 0,
             resumed,
@@ -1725,7 +1541,7 @@ impl TermStream {
             && state
                 .step_streamed(
                     &self.artifacts.graph,
-                    &self.artifacts.point.env,
+                    &self.point.env,
                     &self.limits,
                     &self.leg_start,
                 )
@@ -1773,8 +1589,8 @@ impl TermStream {
                 reconstruction: recon_time,
             },
             stats: SynthesisStats {
-                initial_declarations: self.session_decls,
-                distinct_succinct_types: self.session_distinct,
+                initial_declarations: self.point.env.len(),
+                distinct_succinct_types: self.point.prepared.distinct_succinct_types(),
                 reachability_terms: self.artifacts.reachability_terms,
                 requests_processed: self.artifacts.requests_processed,
                 patterns: self.artifacts.patterns,
@@ -1803,7 +1619,7 @@ impl Iterator for TermStream {
         let stepped = state
             .step_streamed(
                 &self.artifacts.graph,
-                &self.artifacts.point.env,
+                &self.point.env,
                 &self.limits,
                 &self.leg_start,
             )
@@ -1817,10 +1633,7 @@ impl Iterator for TermStream {
 
 impl Drop for TermStream {
     fn drop(&mut self) {
-        if let Some(mut state) = self.state.take() {
-            // Fold this walk's memo/expansion discoveries into the graph's
-            // shared caches regardless of whether the state itself is kept.
-            state.sync_caches_into(&self.artifacts.graph);
+        if let Some(state) = self.state.take() {
             // Cancelled walks are a property of the moment too: the frontier
             // is intact, but persisting one would let an aborted request
             // leak its partial trajectory into later queries' stats.
@@ -1954,6 +1767,9 @@ mod tests {
         let _ = engine.prepare(&seeded).query(&query);
         let session = engine.prepare(&env);
         let result = session.query(&query);
+        // The twin's graph shares the fingerprint but can never serve this
+        // point, and this point's own build was private.
+        assert_eq!(session.cached_graph_count(), 0);
         let fresh = Engine::new(SynthesisConfig::default())
             .prepare(&env)
             .query(&query);
@@ -2130,25 +1946,25 @@ mod tests {
 
         query("A"); // build 1, cache {A}
         query("B"); // build 2, cache {A, B}
-        assert_eq!(session.graph_build_count(), 2);
+        assert_eq!(engine.graph_build_count(), 2);
         assert_eq!(session.cached_graph_count(), 2);
         assert_eq!(engine.graph_eviction_count(), 0);
 
         query("A"); // hit, A becomes most recent
-        assert_eq!(session.graph_build_count(), 2);
+        assert_eq!(engine.graph_build_count(), 2);
 
         query("C"); // build 3: capacity forces out B (least recent), not A
-        assert_eq!(session.graph_build_count(), 3);
+        assert_eq!(engine.graph_build_count(), 3);
         assert_eq!(session.cached_graph_count(), 2);
         assert_eq!(engine.graph_eviction_count(), 1);
 
         query("A"); // still cached
         query("C"); // still cached
-        assert_eq!(session.graph_build_count(), 3);
+        assert_eq!(engine.graph_build_count(), 3);
         assert_eq!(engine.graph_eviction_count(), 1);
 
         query("B"); // evicted above: rebuilt, and evicts the LRU entry (A)
-        assert_eq!(session.graph_build_count(), 4);
+        assert_eq!(engine.graph_build_count(), 4);
         assert_eq!(session.cached_graph_count(), 2);
         assert_eq!(engine.graph_eviction_count(), 2);
         assert_eq!(engine.stats().graph_eviction_count, 2);
@@ -2205,16 +2021,11 @@ mod tests {
         let mut parked = graphs
             .values()
             .filter_map(|slot| slot.value.cell.get())
-            .flat_map(|artifacts| {
-                let suspended = lock_recovering(&artifacts.suspended);
-                suspended
-                    .walks
-                    .values()
-                    .map(|walk| {
-                        let (blocks, pending) = walk.value.frontier();
-                        (walk.value.steps(), blocks, pending)
-                    })
-                    .collect::<Vec<_>>()
+            .filter_map(|artifacts| {
+                let parked = lock_recovering(&artifacts.parked);
+                let (_, walk) = parked.as_ref()?;
+                let (blocks, pending) = walk.frontier();
+                Some((walk.steps(), blocks, pending))
             });
         let walk = parked.next().expect("a walk is parked");
         assert!(parked.next().is_none(), "exactly one walk is parked");
@@ -2245,17 +2056,18 @@ mod tests {
 
     #[test]
     fn only_the_building_query_reports_explore_time() {
-        let session = Engine::default().prepare(&env_a());
+        let engine = Engine::default();
+        let session = engine.prepare(&env_a());
         let query = Query::new(Ty::base("File"));
         let first = session.query(&query);
-        assert_eq!(session.graph_build_count(), 1);
+        assert_eq!(engine.graph_build_count(), 1);
         assert!(first.timings.explore > Duration::ZERO);
         assert!(first.timings.patterns > Duration::ZERO);
 
         // A cache hit spent nothing on exploration or pattern generation,
         // and says so; its statistics are the build's.
         let repeat = session.query(&query);
-        assert_eq!(session.graph_build_count(), 1);
+        assert_eq!(engine.graph_build_count(), 1);
         assert_eq!(repeat.timings.explore, Duration::ZERO);
         assert_eq!(repeat.timings.patterns, Duration::ZERO);
         assert_eq!(
@@ -2272,12 +2084,13 @@ mod tests {
             graph_cache_capacity: 0,
             ..SynthesisConfig::default()
         };
-        let session = Engine::new(config).prepare(&env_b());
+        let engine = Engine::new(config);
+        let session = engine.prepare(&env_b());
         let first = session.query(&Query::new(Ty::base("A")).with_n(3));
         let second = session.query(&Query::new(Ty::base("A")).with_n(3));
         assert_eq!(render(&first), render(&second));
         assert_eq!(session.cached_graph_count(), 0);
-        assert_eq!(session.graph_build_count(), 2);
+        assert_eq!(engine.graph_build_count(), 2);
     }
 
     #[test]
@@ -2291,7 +2104,29 @@ mod tests {
     }
 
     #[test]
-    fn update_append_and_reweight_carry_unaffected_graphs() {
+    fn one_parked_walk_per_graph() {
+        let engine = Engine::default();
+        let session = engine.prepare(&env_b());
+        let query = Query::new(Ty::base("A"));
+        let first = session.query(&query);
+        assert_eq!(engine.suspended_walk_count(), 1);
+
+        // Other reconstruction budgets on the same graph start a fresh walk,
+        // and its walk replaces the parked one.
+        let bounded = session.query(&query.clone().with_max_depth(3));
+        assert!(!bounded.stats.resumed);
+        assert_eq!(engine.cached_graph_count(), 1);
+        assert_eq!(engine.suspended_walk_count(), 1);
+
+        // So the default budgets find nothing to resume, and answer the same.
+        let again = session.query(&query);
+        assert!(!again.stats.resumed);
+        assert_eq!(render(&again), render(&first));
+        assert_eq!(engine.graph_build_count(), 1);
+    }
+
+    #[test]
+    fn update_does_no_graph_work() {
         let mut env = env_a();
         env.push(Declaration::new(
             "gadget",
@@ -2300,14 +2135,11 @@ mod tests {
         ));
         let engine = Engine::new(SynthesisConfig::default());
         let session = engine.prepare(&env);
-        // Warm the File graph on the original point.
         let before = session.query(&Query::new(Ty::base("File")).with_n(5));
         assert_eq!(engine.graph_build_count(), 1);
 
-        // Append another `Gadget` declaration (its succinct type is already
-        // in Γ, so the initial environment keeps its identity) and reweight
-        // the existing one: the File exploration never requests `Gadget`, so
-        // the File graph carries over to the edited point.
+        // Append another `Gadget` declaration and reweight the existing one:
+        // the edited point starts with no cached graph.
         let delta = EnvDelta::new()
             .add(Declaration::new(
                 "gadget2",
@@ -2318,17 +2150,18 @@ mod tests {
         let updated = session.update(&delta);
         assert_ne!(updated.fingerprint(), session.fingerprint());
         assert_eq!(updated.env().len(), 4);
+        assert_eq!(updated.cached_graph_count(), 0);
+        assert_eq!(engine.graph_build_count(), 1);
 
+        // The reweight changes the `Gadget` class weight, which orders
+        // exploration's queue, so the patch declines and the File query
+        // builds.
         let after = updated.query(&Query::new(Ty::base("File")).with_n(5));
         assert_eq!(render(&before), render(&after));
-        assert_eq!(
-            engine.graph_build_count(),
-            1,
-            "the File graph must be carried across the delta, not rebuilt"
-        );
-        // A goal the edit *does* touch rebuilds and sees the new state.
-        let gadgets = updated.query(&Query::new(Ty::base("Gadget")).with_n(5));
         assert_eq!(engine.graph_build_count(), 2);
+        assert_eq!(engine.graph_patch_count(), 0);
+        let gadgets = updated.query(&Query::new(Ty::base("Gadget")).with_n(5));
+        assert_eq!(engine.graph_build_count(), 3);
         assert_eq!(gadgets.snippets.len(), 2);
         // Fresh comparison: an independent engine on the edited environment
         // answers identically.
@@ -2352,7 +2185,7 @@ mod tests {
         assert_eq!(engine.graph_build_count(), 1);
 
         // `mkDir : String -> File` produces `File`, which the File
-        // exploration requests — the cached graph must NOT carry over.
+        // exploration requests — the old graph must not serve the edit.
         let delta = EnvDelta::new().add(Declaration::new(
             "mkDir",
             Ty::fun(vec![Ty::base("String")], Ty::base("File")),

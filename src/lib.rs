@@ -70,10 +70,10 @@
 //! assert_eq!(strings.snippets[0].term.to_string(), "name");
 //!
 //! // The user edits: update by delta instead of re-preparing from scratch.
-//! // σ runs only on the changed declarations, cached graphs the edit cannot
-//! // affect are carried over, a graph the edit does affect is patched from
-//! // the parent's when the edit adds no new succinct type, and results are
-//! // byte-identical to a fresh prepare of the edited environment.
+//! // σ runs only on the changed declarations, the edited point's first query
+//! // per goal patches the parent's graph when the edit adds no new succinct
+//! // type (and builds otherwise), and results are byte-identical to a fresh
+//! // prepare of the edited environment.
 //! let edited = session.update(
 //!     &EnvDelta::new()
 //!         .add(Declaration::simple("path", Ty::base("String"), DeclKind::Local))
@@ -142,15 +142,15 @@
 //! `SynthesisConfig::point_cache_capacity`, default 32 prepared points;
 //! least-recently-used eviction), so long-lived engines stay bounded in
 //! memory. Suspended walks follow the same discipline: each cached graph
-//! parks at most four walk states (LRU, keyed by reconstruction budgets),
-//! they ride along with `Session::update`'s delta carry-over exactly when
-//! the edit provably cannot reach their graph, and they are dropped — never
-//! stale-resumed — otherwise. After an edit that leaves the σ-level space
-//! alone (adding, removing or reweighting declarations of succinct types
-//! the environment already has), a graph-cache miss on the edited point
-//! patches the nearest ancestor revision's graph for the same goal instead
-//! of re-running exploration and pattern generation
-//! (`DerivationGraph::patch`); a patched graph starts with no parked walks.
+//! parks one walk state, the last one a stream finished under any
+//! reconstruction budgets, and an evicted graph drops it. An edit does no
+//! graph work: after an edit that leaves the σ-level space alone (adding,
+//! removing or reweighting declarations of succinct types the environment
+//! already has), a graph-cache miss on the edited point patches the nearest
+//! ancestor revision's graph for the same goal instead of re-running
+//! exploration and pattern generation (`DerivationGraph::patch`), and builds
+//! otherwise. A patched graph starts with no parked walk, so no walk is ever
+//! resumed across an edit.
 //!
 //! # Scaling the environment axis
 //!

@@ -397,7 +397,7 @@ fn term_streams_paginate_deterministically_and_match_query() {
 }
 
 #[test]
-fn unrelated_edit_carries_the_suspended_walk_across_update() {
+fn unrelated_edit_patches_the_graph_and_starts_a_fresh_walk() {
     let mut env = tiny_env();
     env.push(Declaration::simple(
         "gadget",
@@ -412,9 +412,9 @@ fn unrelated_edit_carries_the_suspended_walk_across_update() {
     assert_eq!(engine.graph_build_count(), 1);
     assert_eq!(engine.suspended_walk_count(), 1);
 
-    // Appending another Gadget cannot reach the A-walk: the A exploration
-    // never requests Gadget, so the graph — suspended walk included —
-    // carries over to the edited point.
+    // Appending another Gadget is σ-inert and cannot reach the A-walk, but
+    // an edit does no graph work: the edited point's first A query patches
+    // the parent's graph, and a patched graph parks no walk to resume.
     let delta = EnvDelta::new().add(Declaration::simple(
         "gadget2",
         Ty::base("Gadget"),
@@ -422,14 +422,11 @@ fn unrelated_edit_carries_the_suspended_walk_across_update() {
     ));
     let updated = session.update(&delta);
     let after = updated.query(&query);
-    assert_eq!(engine.graph_build_count(), 1, "graph carried, not rebuilt");
+    assert_eq!(engine.graph_build_count(), 1, "patched, not rebuilt");
+    assert_eq!(engine.graph_patch_count(), 1);
     assert!(
-        after.stats.resumed,
-        "the suspended walk rode along with the carried graph"
-    );
-    assert_eq!(
-        after.stats.reconstruction_new_steps, 0,
-        "same n: the resumed walk serves its emission log without popping"
+        !after.stats.resumed,
+        "the patched graph starts a fresh walk"
     );
     assert_eq!(fingerprint(&after), fingerprint(&before));
 
