@@ -496,8 +496,8 @@ fn main() {
         let astar = generate_terms(&graph, &env, 10, &limits);
         let best_first = generate_terms_best_first(&graph, &env, 10, &limits);
         eprintln!(
-            "  (A* pops {} of best-first {}, pruned {} enqueues)",
-            astar.steps, best_first.steps, astar.pruned_enqueues
+            "  (A* pops {} of best-first {})",
+            astar.steps, best_first.steps
         );
     }
 
@@ -931,12 +931,10 @@ fn run_check(path: &str) -> i32 {
     let astar = generate_terms(&graph, &env, 10, &limits);
     let best_first = generate_terms_best_first(&graph, &env, 10, &limits);
     println!(
-        "A* walk pops {} vs best-first pops {}: {:.2}x fewer (gate requires >= {POPS_RATIO_FLOOR}x), \
-         {} enqueues heuristic-pruned",
+        "A* walk pops {} vs best-first pops {}: {:.2}x fewer (gate requires >= {POPS_RATIO_FLOOR}x)",
         astar.steps,
         best_first.steps,
         best_first.steps as f64 / astar.steps.max(1) as f64,
-        astar.pruned_enqueues,
     );
     if astar.steps * POPS_RATIO_FLOOR > best_first.steps {
         println!(

@@ -127,16 +127,16 @@ pub struct GenerateOutcome {
     ///   draining the queue, so everything already enqueued is still emitted
     ///   in order.
     ///
-    /// Either way the emitted prefix is exact: every term returned is a true
-    /// member of the enumeration with its exact weight; truncation can only
-    /// cause terms to be *missing* from the tail.
+    /// Either way every term returned is a true member of the enumeration,
+    /// with its exact weight and in enumeration order: the terms are an
+    /// in-order subsequence of what an untruncated walk emits, and equal its
+    /// prefix when this flag is `false`. A budget stop loses only the tail,
+    /// but the frontier cap can drop terms from *anywhere* in the list: the
+    /// completions of a dropped successor never appear, and later terms
+    /// move up in their place.
     pub truncated: bool,
-    /// Successor expressions discarded before enqueueing because their
-    /// completion lower bound already exceeded the branch-and-bound cutoff
-    /// (the n-th best complete candidate found so far). Under the A* walk the
-    /// bound includes the admissible heuristic, which is what makes this
-    /// number large; the plain best-first walk can only prune on accumulated
-    /// weight.
+    /// Always `0`: no walk discards a successor on account of `n`. Kept so
+    /// that readers of the field keep compiling.
     pub pruned_enqueues: usize,
     /// `true` when the walk ran in A* mode (heuristic-guided ordering);
     /// `false` for the plain best-first walk (unindexed reference, or the

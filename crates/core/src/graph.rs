@@ -30,18 +30,18 @@
 //!
 //! [`generate_terms`] is then an **A\*** walk over the graph: the frontier is
 //! ordered by `g + Σ h(open holes)` (accumulated weight plus the completion
-//! bounds of every open hole), no σ, no interning, no string cloning, and two
-//! prunings the flat pipeline cannot do:
+//! bounds of every open hole), with no σ, no interning and no string cloning,
+//! and with **dead-hole pruning** the flat pipeline cannot do: a successor
+//! containing a hole whose completion bound is `∞` can never complete and is
+//! dropped at creation. The heuristic is disabled when a negative
+//! [`Declaration::with_weight`](crate::Declaration::with_weight) override
+//! breaks weight monotonicity; the walk then falls back to the plain
+//! best-first order of [`generate_terms_best_first`].
 //!
-//! * **dead-hole pruning** — a successor containing a hole whose completion
-//!   bound is `∞` can never complete and is dropped at creation;
-//! * **branch-and-bound** — once `n` complete candidates are enqueued, any
-//!   expression whose *bound* `g + Σ h` exceeds the current n-th best
-//!   candidate is dropped before it is enqueued (admissible because `h`
-//!   under-estimates; disabled — together with the whole heuristic — when a
-//!   negative [`Declaration::with_weight`](crate::Declaration::with_weight)
-//!   override breaks weight monotonicity, in which case the walk falls back
-//!   to the plain best-first order of [`generate_terms_best_first`]).
+//! There is one walk: [`generate_terms`] steps the same [`WalkState`] a
+//! [`Session`](crate::Session) query streams, and stops at the `n`-th
+//! emission. It discards no successor on account of `n`, so a library walk
+//! and a session query to the same `n` pop, truncate and emit identically.
 //!
 //! Ordering by `g + Σ h` changes which partial expressions are *explored*,
 //! but not what is *emitted*: admissibility guarantees completions still pop
@@ -54,17 +54,14 @@
 //! The returned terms are therefore byte-identical to the unindexed
 //! reference walk ([`generate_terms_unindexed`](crate::generate_terms_unindexed));
 //! a property test asserts exactly that, in both the A* and the fallback
-//! regime. Two floating-point guards keep the tie cases honest: hole costs
-//! are rounded down onto a dyadic grid so incrementally maintained `Σ h`
-//! sums are exact (and stay under-estimates), and the branch-and-bound
-//! cutoff is inflated by a margin dwarfing any residual rounding, so an
-//! expression whose true bound exactly ties the n-th candidate is never
-//! pruned by a stray ulp.
+//! regime. Hole costs are rounded down onto a dyadic grid so incrementally
+//! maintained `Σ h` sums are exact (and stay under-estimates), which keeps
+//! the tie cases honest.
 //!
 //! # Expanding lazily
 //!
-//! A pop on a paper-scale graph has hundreds of successors, and an
-//! n-bounded query pops only a handful of times. So the walk keys every
+//! A pop on a paper-scale graph has hundreds of successors, and a query for
+//! ten terms pops only a handful of times. So the walk keys every
 //! successor — priority, tie-break, hole count, depth, and every pruning and
 //! frontier-cap decision, in production order — but stores the survivors of
 //! one pop as a single *sibling block*: compact records that reference the
@@ -335,7 +332,7 @@ impl EdgeSlab {
 
 /// The pattern-indexed derivation graph for one explored goal.
 ///
-/// Built once per (program point, goal, prover budget) — see
+/// Built once per (program point, goal) — see
 /// [`DerivationGraph::build`] — and walked by [`generate_terms`]. The graph is
 /// immutable, owns no borrows, and is `Send + Sync`, so sessions cache it
 /// behind an `Arc` and serve concurrent queries from it.
@@ -356,11 +353,9 @@ pub struct DerivationGraph {
     /// Per hole type, the declaration whose first pass-1 visit interned it
     /// ([`DECL_REMOVED`] for a root type no declaration argument has).
     ty_intro_decl: Vec<u32>,
-    /// `true` if every weight the walk can add is non-negative; only then are
-    /// the completion-bound heuristic and branch-and-bound pruning admissible.
-    monotone: bool,
     /// Per-goal completion lower bounds (the A* heuristic), computed once at
-    /// build time; `None` when the graph is not monotone.
+    /// build time; `None` when a negative weight override breaks
+    /// monotonicity, the only case in which the bounds are not admissible.
     heuristic: Option<Heuristic>,
 }
 
@@ -512,14 +507,9 @@ impl DerivationGraph {
             root_ty,
             lambda_weight: weights.lambda_weight(),
         };
-        let mut graph = DerivationGraph::with_edges(
-            prepared,
-            Arc::new(shape),
-            edges,
-            ty_intro_decl,
-            prepared.weights_monotone(weights),
-        );
-        if graph.monotone {
+        let mut graph =
+            DerivationGraph::with_edges(prepared, Arc::new(shape), edges, ty_intro_decl);
+        if prepared.weights_monotone(weights) {
             graph.heuristic = Some(compute_heuristic(&graph));
         }
         graph
@@ -531,14 +521,12 @@ impl DerivationGraph {
         shape: Arc<GraphShape>,
         edges: EdgeSlab,
         ty_intro_decl: Vec<u32>,
-        monotone: bool,
     ) -> DerivationGraph {
         DerivationGraph {
             base: Arc::clone(prepared),
             shape,
             edges,
             ty_intro_decl,
-            monotone,
             heuristic: None,
         }
     }
@@ -565,12 +553,11 @@ impl DerivationGraph {
         old_to_new: &[u32],
     ) -> Option<DerivationGraph> {
         let shape = &self.shape;
-        let monotone = prepared.weights_monotone(weights);
         // Exploration and pattern generation must replay identically: the
         // same σ-level space and the same queue order.
         if !self.base.same_sigma_space(prepared)
             || self.base.ty_weight != prepared.ty_weight
-            || monotone != self.monotone
+            || prepared.weights_monotone(weights) != self.has_heuristic()
             || weights.lambda_weight() != shape.lambda_weight
         {
             return None;
@@ -647,13 +634,8 @@ impl DerivationGraph {
             edges.variant_offsets.push(edges.edge_decl.len() as u32);
         }
 
-        let mut graph = DerivationGraph::with_edges(
-            prepared,
-            Arc::clone(shape),
-            edges,
-            ty_intro_decl,
-            monotone,
-        );
+        let mut graph =
+            DerivationGraph::with_edges(prepared, Arc::clone(shape), edges, ty_intro_decl);
         if let Some(old) = &self.heuristic {
             graph.heuristic = Some(
                 if self.bounds_survive(&graph.edges, old_to_new, &changed, old) {
@@ -798,9 +780,9 @@ impl DerivationGraph {
 
     /// Byte-level identity against another graph: the goal nodes, variants,
     /// edges (declarations, weight bits, argument hole types), hole types
-    /// and where they were interned, overlay environments, monotonicity and
-    /// the bits of every completion bound. The patch property test holds
-    /// [`DerivationGraph::patch`] to it against a fresh build.
+    /// and where they were interned, overlay environments and the bits of
+    /// every completion bound (or their common absence). The patch property
+    /// test holds [`DerivationGraph::patch`] to it against a fresh build.
     pub fn identical_to(&self, other: &DerivationGraph) -> bool {
         let bits = |weights: &[Weight]| -> Vec<u64> {
             weights.iter().map(|w| w.value().to_bits()).collect()
@@ -813,7 +795,6 @@ impl DerivationGraph {
             && bits(&self.edges.edge_weight) == bits(&other.edges.edge_weight)
             && self.edges.edge_args == other.edges.edge_args
             && self.ty_intro_decl == other.ty_intro_decl
-            && self.monotone == other.monotone
             && bounds(self) == bounds(other)
     }
 
@@ -1002,7 +983,7 @@ fn resolve_edges(
 /// graph's hyperedges (Knuth's algorithm: a node is finalized when popped,
 /// and a hyperedge relaxes its head once every tail goal is finalized).
 /// Requires monotone (non-negative) weights — the caller only invokes it
-/// when [`DerivationGraph::monotone`] holds.
+/// when [`PreparedEnv::weights_monotone`] holds.
 fn compute_heuristic(graph: &DerivationGraph) -> Heuristic {
     let shape = &*graph.shape;
     let node_count = shape.node_count();
@@ -1579,7 +1560,7 @@ struct HoleGoal {
 /// (admissibility is preserved), and sums and differences of grid multiples
 /// below `2^29` are exact in `f64` — so the incrementally maintained
 /// `Σ h` never drifts, and two paths summing the same memoized costs in
-/// different orders reach bit-identical `Σ h` values. The loss of pruning
+/// different orders reach bit-identical `Σ h` values. The loss of ordering
 /// precision (≤ `holes · 2^-24`) is orders of magnitude below the smallest
 /// gap between distinct realizable weight sums.
 const COST_GRID: f64 = (1u64 << 24) as f64;
@@ -1623,28 +1604,6 @@ fn hole_goal(
     })
 }
 
-/// The branch-and-bound cutoff for a given n-th-best-candidate bound.
-///
-/// In best-first mode priorities are accumulated weights computed by the
-/// exact operation sequence the unindexed oracle uses, so the comparison is
-/// strict. In A* mode a priority is `g + hsum`: `hsum` itself is exact
-/// (grid-rounded summands, see [`COST_GRID`]), but `g` is off-grid, so that
-/// one final addition still rounds — and a partial expression whose true
-/// bound ties the cutoff exactly (common: symmetric terms share
-/// bit-identical weights) must not be pruned by that last half-ulp, or a
-/// tied term the oracle emits could be lost. Pruning less is always
-/// output-safe, so the A* cutoff is inflated by a margin that dwarfs the
-/// final-addition rounding (≲ 1e-12 relative) while staying far below both
-/// the grid step and the smallest gap between distinct realizable weight
-/// sums.
-fn prune_cutoff(bound: Weight, astar: bool) -> Weight {
-    if astar {
-        Weight::new(bound.value() + (bound.value().abs() * 1e-9 + 1e-9))
-    } else {
-        bound
-    }
-}
-
 /// Runs term reconstruction over a derivation graph: an A* walk ordered by
 /// `g + Σ h(open holes)` when the graph carries its completion-cost
 /// heuristic, the plain best-first walk of [`generate_terms_best_first`]
@@ -1655,15 +1614,18 @@ fn prune_cutoff(bound: Weight, astar: bool) -> Weight {
 /// produces from the same pattern set; the heuristic only changes which
 /// partial expressions are *explored*, never what is emitted. `outcome.steps`
 /// counts queue pops and is therefore typically much smaller than both the
-/// unindexed and the best-first walk's; `outcome.pruned_enqueues` counts the
-/// successors the bound discarded before they ever entered the queue.
+/// unindexed and the best-first walk's.
+///
+/// This is the walk a [`Session`](crate::Session) query streams, taken to
+/// its `n`-th emission: the terms, `steps` and `truncated` are exactly what
+/// a query for `n` terms on the same graph and limits reports.
 pub fn generate_terms(
     graph: &DerivationGraph,
     env: &TypeEnv,
     n: usize,
     limits: &GenerateLimits,
 ) -> GenerateOutcome {
-    walk(graph, env, n, limits, graph.heuristic.is_some())
+    walk(graph, env, n, limits, graph.has_heuristic())
 }
 
 /// Runs term reconstruction in plain best-first (accumulated-weight) order,
@@ -1672,7 +1634,7 @@ pub fn generate_terms(
 /// This is the walk [`generate_terms`] falls back to on non-monotone graphs;
 /// it is public as the measurable "before" of the A* refactor (the
 /// `gent_ablation` benchmarks compare the two on the same graph) and returns
-/// byte-identical terms — only `steps`/`pruned_enqueues` differ.
+/// byte-identical terms — only `steps` differs.
 pub fn generate_terms_best_first(
     graph: &DerivationGraph,
     env: &TypeEnv,
@@ -1689,49 +1651,15 @@ fn walk(
     limits: &GenerateLimits,
     astar: bool,
 ) -> GenerateOutcome {
-    let start = Instant::now();
-    let mut outcome = GenerateOutcome {
-        astar,
-        ..GenerateOutcome::default()
-    };
-    if n == 0 {
-        return outcome;
-    }
-
     let mut state = WalkState::new(graph, astar);
-    let mut bounded = Bounded {
-        n,
-        candidates: BinaryHeap::new(),
-    };
-    while state.emitted.len() < n
-        && state
-            .step_impl(graph, env, limits, &start, Some(&mut bounded))
-            .is_some()
-    {}
-
-    outcome.steps = state.steps;
-    outcome.pruned_enqueues = state.pruned_enqueues;
-    outcome.truncated = state.truncated || state.time_truncated || state.cancelled;
-    outcome.terms = state.emitted.into_iter().map(|e| e.term).collect();
-    outcome
-}
-
-/// Branch-and-bound control of an n-bounded walk: the target count and the
-/// weights of the `n` best complete candidates enqueued so far (max-heap).
-/// Once full, any expression whose completion bound exceeds the top can
-/// never be emitted among the first `n`.
-///
-/// Streamed walks carry no `Bounded` — with no fixed `n` there is no cutoff
-/// — and therefore never prune. That is output-safe *and* statistics-safe:
-/// a pruned entry's bound exceeds the cutoff, which is at least the n-th
-/// emission's weight, and (in the only mode that prunes, A* over a monotone
-/// graph) entries pop in nondecreasing priority order — so no pruned entry
-/// can pop strictly before the n-th emission. Pruning therefore changes
-/// neither the emission sequence nor the pop count at any emission, which
-/// is what keeps bounded and streamed trajectories byte-identical.
-struct Bounded {
-    n: usize,
-    candidates: BinaryHeap<Weight>,
+    let (steps, truncated) = state.take(graph, env, limits, &Instant::now(), n);
+    GenerateOutcome {
+        terms: state.emitted.into_iter().map(|e| e.term).collect(),
+        steps,
+        truncated,
+        pruned_enqueues: 0,
+        astar,
+    }
 }
 
 /// One term a walk has emitted, snapshotting the walk statistics at the
@@ -1751,11 +1679,12 @@ pub(crate) struct EmittedTerm {
 
 /// The complete, parkable state of one reconstruction walk: the frontier
 /// heap, the per-walk memo caches, the tie-break counters and the emission
-/// log — the former `walk` locals, extracted so a walk can be suspended
-/// after any emission and resumed later. This is the engine shared by the
-/// n-bounded [`generate_terms`] / [`generate_terms_best_first`] entry points
-/// and the streamed [`Session::query_stream`](crate::Session::query_stream)
-/// API.
+/// log, kept together so a walk can be suspended after any emission and
+/// resumed later. This is the one walk: the streamed
+/// [`Session::query_stream`](crate::Session::query_stream) API steps it one
+/// emission at a time, and [`generate_terms`] /
+/// [`generate_terms_best_first`] and [`Session::query`](crate::Session::query)
+/// step it to the `n`-th emission ([`WalkState::take`]).
 ///
 /// The frontier is a heap of sibling [`Block`]s, one per expanding pop (plus
 /// the root's), each keyed by its best pending [`Sibling`]. A pop takes the
@@ -1766,11 +1695,10 @@ pub(crate) struct EmittedTerm {
 /// `steps + 1` blocks — cheap to keep and cheap to drop when its artifact is
 /// evicted.
 ///
-/// A `WalkState` advances exclusively through [`WalkState::step_streamed`]
-/// (or the module-internal bounded variant): one call pops siblings until a
-/// term is emitted (`Some`) or the walk stops (`None` — frontier exhausted,
-/// step budget hit, or wall-clock expired; the flag accessors distinguish
-/// the causes). Every state transition is deterministic except wall-clock
+/// A `WalkState` advances exclusively through [`WalkState::step`]: one call
+/// pops siblings until a term is emitted (`Some`) or the walk stops (`None`
+/// — frontier exhausted, step budget hit, wall-clock expired or cancelled;
+/// the flag accessors distinguish the causes). Every state transition is deterministic except wall-clock
 /// truncation, so a suspended state whose `time_truncated` flag is unset
 /// replays exactly what a from-scratch walk would have done — the invariant
 /// the session layer's resume discipline is built on (a time-truncated
@@ -1784,7 +1712,6 @@ pub(crate) struct WalkState {
     expansions: ExpansionCache,
     seq: u64,
     steps: usize,
-    pruned_enqueues: usize,
     emitted: Vec<EmittedTerm>,
     truncated: bool,
     time_truncated: bool,
@@ -1856,7 +1783,6 @@ impl WalkState {
             expansions: ExpansionCache::default(),
             seq: 0,
             steps: 0,
-            pruned_enqueues: 0,
             emitted: Vec::new(),
             truncated: false,
             time_truncated: false,
@@ -1877,21 +1803,9 @@ impl WalkState {
         self.steps
     }
 
-    /// Successors discarded by branch-and-bound before entering the queue
-    /// (always zero for streamed walks, which never prune).
-    pub(crate) fn pruned_enqueues(&self) -> usize {
-        self.pruned_enqueues
-    }
-
     /// `true` when this walk runs in A* order.
     pub(crate) fn astar(&self) -> bool {
         self.astar
-    }
-
-    /// `true` once a *deterministic* budget (step cap or frontier cap)
-    /// truncated the walk.
-    pub(crate) fn truncated(&self) -> bool {
-        self.truncated
     }
 
     /// `true` once a wall-clock limit truncated the walk. A time-truncated
@@ -1921,31 +1835,43 @@ impl WalkState {
         (self.queue.len(), self.pending)
     }
 
-    /// Advances a streamed (unbounded, unpruned) walk by one emission,
-    /// metering wall-clock time against `leg_start` — resumed walks get a
-    /// fresh leg, so a suspended walk's earlier legs do not count against
-    /// the current query's budget.
-    pub(crate) fn step_streamed(
+    /// Steps the walk until it has emitted `n` terms or stops, and reports
+    /// `(steps, truncated)` as of the `n`-th emission — what a walk stopped
+    /// there records, even when this state had already stepped past it — or
+    /// as of the stop when the walk stopped short. `truncated` covers every
+    /// cause: a deterministic budget, the wall clock and cancellation.
+    pub(crate) fn take(
         &mut self,
         graph: &DerivationGraph,
         env: &TypeEnv,
         limits: &GenerateLimits,
         leg_start: &Instant,
-    ) -> Option<&RankedTerm> {
-        self.step_impl(graph, env, limits, leg_start, None)
+        n: usize,
+    ) -> (usize, bool) {
+        while self.emitted.len() < n && self.step(graph, env, limits, leg_start).is_some() {}
+        if n == 0 {
+            (0, false)
+        } else if let Some(nth) = self.emitted.get(n - 1) {
+            (nth.steps, nth.truncated)
+        } else {
+            (
+                self.steps,
+                self.truncated || self.time_truncated || self.cancelled,
+            )
+        }
     }
 
     /// The walk engine: pops and expands siblings until a term is emitted
     /// (returned, and appended to the emission log) or the walk stops
-    /// (`None`; the flags say why). `bounded` enables the branch-and-bound
-    /// prunings of the n-bounded entry points.
-    fn step_impl(
+    /// (`None`; the flags say why). Wall-clock time is metered against
+    /// `leg_start` — resumed walks get a fresh leg, so a suspended walk's
+    /// earlier legs do not count against the current query's budget.
+    pub(crate) fn step(
         &mut self,
         graph: &DerivationGraph,
         env: &TypeEnv,
         limits: &GenerateLimits,
         leg_start: &Instant,
-        mut bounded: Option<&mut Bounded>,
     ) -> Option<&RankedTerm> {
         let heuristic = if self.astar {
             graph.heuristic.as_ref()
@@ -2004,19 +1930,6 @@ impl WalkState {
                     truncated: self.truncated,
                 });
                 return self.emitted.last().map(|e| &e.term);
-            }
-
-            // A partial expression whose completion bound (accumulated
-            // weight in best-first mode) exceeds the n-th best complete
-            // candidate cannot contribute output; skip its expansion.
-            if let Some(ctl) = bounded.as_deref_mut() {
-                if graph.monotone && ctl.candidates.len() >= ctl.n {
-                    if let Some(&bound) = ctl.candidates.peek() {
-                        if popped.priority > prune_cutoff(bound, self.astar) {
-                            continue;
-                        }
-                    }
-                }
             }
 
             let mut scope: Vec<&(Param, HoleTyId)> = Vec::new();
@@ -2084,10 +1997,10 @@ impl WalkState {
             }
             let cached = Arc::clone(&self.expansions[&(node_env, node)]);
 
-            // Key every successor in production order — pruning, bounded
-            // candidates and the frontier cap see exactly the sequence an
-            // eager expansion would — but keep each survivor as a compact
-            // sibling record; only the one that pops builds an expression.
+            // Key every successor in production order — pruning and the
+            // frontier cap see exactly the sequence an eager expansion
+            // would — but keep each survivor as a compact sibling record;
+            // only the one that pops builds an expression.
             let mut siblings: Vec<Sibling> = Vec::new();
             let mut binders: Vec<(Arc<str>, Arc<[HoleTyId]>)> = Vec::new();
             let mut produced = 0usize;
@@ -2175,17 +2088,6 @@ impl WalkState {
                     } else {
                         Weight::new(popped.hsum.value() - filled_cost.value() + args_bound.value())
                     };
-                    let new_priority = new_weight.plus(new_hsum);
-                    if let Some(ctl) = bounded.as_deref_mut() {
-                        if graph.monotone && ctl.candidates.len() >= ctl.n {
-                            if let Some(&bound) = ctl.candidates.peek() {
-                                if new_priority > prune_cutoff(bound, self.astar) {
-                                    self.pruned_enqueues += 1;
-                                    continue;
-                                }
-                            }
-                        }
-                    }
 
                     // Depth: the only lengthened path runs through the hole.
                     let replacement_depth = if arg_tys.is_empty() { 1 } else { 2 };
@@ -2193,18 +2095,6 @@ impl WalkState {
                     if let Some(max_depth) = limits.max_depth {
                         if new_depth as usize > max_depth {
                             continue;
-                        }
-                    }
-
-                    if let Some(ctl) = bounded.as_deref_mut() {
-                        if graph.monotone && new_holes == 0 {
-                            if ctl.candidates.len() < ctl.n {
-                                ctl.candidates.push(new_weight);
-                            } else if let Some(mut top) = ctl.candidates.peek_mut() {
-                                if new_weight < *top {
-                                    *top = new_weight;
-                                }
-                            }
                         }
                     }
 
@@ -2216,7 +2106,7 @@ impl WalkState {
                         }
                     };
                     siblings.push(Sibling {
-                        priority: new_priority,
+                        priority: new_weight.plus(new_hsum),
                         g: new_weight,
                         hsum: new_hsum,
                         // A pop produces its node's edges (u32-indexed in
@@ -2263,7 +2153,7 @@ mod tests {
     use crate::decl::{DeclKind, Declaration};
     use crate::explore::{explore, ExploreLimits};
     use crate::genp::generate_patterns;
-    use crate::gent::generate_terms_unindexed;
+    use crate::gent::{generate_terms_unindexed, MAX_FRONTIER};
 
     /// Runs both reconstruction paths on the same pattern set and returns
     /// `(graph walk, unindexed reference, graph)`.
@@ -2346,7 +2236,7 @@ mod tests {
             ..GenerateLimits::default()
         };
         let (walked, reference, graph) = both_walks(decls, Ty::base("A"), 8, &limits);
-        assert!(!graph.monotone);
+        assert!(!graph.has_heuristic());
         assert_eq!(rendered(&walked), rendered(&reference));
     }
 
@@ -2469,7 +2359,7 @@ mod tests {
         let again = generate_terms(&graph, &env, 6, &limits);
         assert_eq!(rendered(&again), rendered(&astar));
         assert_eq!(again.steps, astar.steps);
-        assert_eq!(again.pruned_enqueues, astar.pruned_enqueues);
+        assert_eq!(again.truncated, astar.truncated);
         let fewer = generate_terms(&graph, &env, 2, &limits);
         assert_eq!(rendered(&fewer), rendered(&astar)[..2].to_vec());
     }
@@ -2517,8 +2407,12 @@ mod tests {
 
     /// The frontier cap counts pending successors exactly as it counted
     /// queue entries when every successor was materialised: each case pins
-    /// `steps pruned_enqueues truncated | terms`, recorded on the eager walk,
-    /// for caps that bite at once, bite late, never bite, and the default.
+    /// `steps truncated | terms` for caps that bite at once, bite late,
+    /// never bite, and the default. A cap only ever drops terms: every walk
+    /// emits an in-order subsequence of the uncapped enumeration, with exact
+    /// weights, and its prefix when the cap never bit. The dropped terms
+    /// need not come from the tail: at cap 64 under A* two `lift` terms go,
+    /// and `s(join(a, b))` and `s(join(a, c))` take their places.
     #[test]
     fn frontier_cap_counts_pending_siblings_like_queued_entries() {
         let decls = vec![
@@ -2546,58 +2440,68 @@ mod tests {
         ];
         let env: TypeEnv = decls.iter().cloned().collect();
         let (_, _, graph) = both_walks(decls, Ty::base("A"), 1, &GenerateLimits::default());
-        let summary = |outcome: &GenerateOutcome| {
-            let terms: Vec<String> = outcome.terms.iter().map(|t| t.term.to_string()).collect();
-            format!(
-                "{} {} {} | {}",
-                outcome.steps,
-                outcome.pruned_enqueues,
-                outcome.truncated,
-                terms.join(", ")
-            )
+        let capped = |cap: usize| GenerateLimits {
+            max_frontier: cap,
+            max_depth: Some(5),
+            ..GenerateLimits::default()
         };
         let mut seen = Vec::new();
-        for cap in [1, 3, 64, GenerateLimits::default().max_frontier] {
-            let limits = GenerateLimits {
-                max_frontier: cap,
-                max_depth: Some(5),
-                ..GenerateLimits::default()
-            };
-            let astar = generate_terms(&graph, &env, 40, &limits);
-            assert!(astar.astar);
-            let best_first = generate_terms_best_first(&graph, &env, 40, &limits);
-            seen.push(summary(&astar));
-            seen.push(summary(&best_first));
+        for astar in [true, false] {
+            let full = walk(&graph, &env, 200, &capped(MAX_FRONTIER), astar);
+            assert_eq!((full.terms.len(), full.truncated), (200, false));
+            let full = rendered(&full);
+            for cap in [1, 3, 64, MAX_FRONTIER] {
+                let outcome = walk(&graph, &env, 40, &capped(cap), astar);
+                assert_eq!(outcome.pruned_enqueues, 0);
+                let emitted = rendered(&outcome);
+                if !outcome.truncated {
+                    assert_eq!(emitted, full[..emitted.len()], "cap {cap}, A* {astar}");
+                }
+                let mut rest = full.iter();
+                for term in &emitted {
+                    assert!(
+                        rest.any(|t| t == term),
+                        "cap {cap}, A* {astar}: {term:?} is missing or out of order"
+                    );
+                }
+                let terms: Vec<&str> = emitted.iter().map(|(t, _)| t.as_str()).collect();
+                seen.push(format!(
+                    "{} {} | {}",
+                    outcome.steps,
+                    outcome.truncated,
+                    terms.join(", ")
+                ));
+            }
         }
         let expected = [
             // max_frontier = 1, A*
-            "2 0 true | a",
-            // max_frontier = 1, best-first
-            "2 0 true | a",
+            "2 true | a",
             // max_frontier = 3, A*
-            "4 0 true | a, b, c",
-            // max_frontier = 3, best-first
-            "4 0 true | a, b, c",
+            "4 true | a, b, c",
             // max_frontier = 64, A*
-            "69 60 false | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
+            "69 true | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
             s(s(s(b))), s(s(s(c))), s(s(s(s(a)))), s(s(s(s(b)))), s(s(s(s(c)))), \
             lift(var1 => var1), lift(var1 => a), lift(var1 => b), lift(var1 => c), \
             s(lift(var1 => var1)), lift(var1 => s(var1)), join(a, a), join(a, b), join(a, c), \
             join(b, a), join(b, b), join(b, c), join(c, a), join(c, b), join(c, c), \
             s(lift(var1 => a)), s(lift(var1 => b)), s(lift(var1 => c)), lift(var1 => s(a)), \
             lift(var1 => s(b)), lift(var1 => s(c)), s(s(lift(var1 => var1))), \
-            s(lift(var1 => s(var1))), lift(var1 => s(s(var1))), s(join(a, a))",
-            // max_frontier = 64, best-first
-            "75 60 true | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
-            s(s(s(b))), s(s(s(c))), s(s(s(s(a)))), s(s(s(s(b)))), s(s(s(s(c)))), \
-            lift(var1 => var1), lift(var1 => a), lift(var1 => b), lift(var1 => c), \
-            s(lift(var1 => var1)), lift(var1 => s(var1)), join(a, a), join(a, b), join(a, c), \
-            join(b, a), join(b, b), join(b, c), join(c, a), join(c, b), join(c, c), \
-            s(lift(var1 => a)), s(lift(var1 => b)), s(lift(var1 => c)), lift(var1 => s(a)), \
-            lift(var1 => s(b)), lift(var1 => s(c)), s(s(lift(var1 => var1))), \
-            s(lift(var1 => s(var1))), lift(var1 => s(s(var1))), s(join(a, a))",
+            s(join(a, a)), s(join(a, b)), s(join(a, c))",
             // max_frontier = default, A*
-            "69 60 false | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
+            "69 false | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
+            s(s(s(b))), s(s(s(c))), s(s(s(s(a)))), s(s(s(s(b)))), s(s(s(s(c)))), \
+            lift(var1 => var1), lift(var1 => a), lift(var1 => b), lift(var1 => c), \
+            s(lift(var1 => var1)), lift(var1 => s(var1)), join(a, a), join(a, b), join(a, c), \
+            join(b, a), join(b, b), join(b, c), join(c, a), join(c, b), join(c, c), \
+            s(lift(var1 => a)), s(lift(var1 => b)), s(lift(var1 => c)), lift(var1 => s(a)), \
+            lift(var1 => s(b)), lift(var1 => s(c)), s(s(lift(var1 => var1))), \
+            s(lift(var1 => s(var1))), lift(var1 => s(s(var1))), s(join(a, a))",
+            // max_frontier = 1, best-first
+            "2 true | a",
+            // max_frontier = 3, best-first
+            "4 true | a, b, c",
+            // max_frontier = 64, best-first
+            "75 true | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
             s(s(s(b))), s(s(s(c))), s(s(s(s(a)))), s(s(s(s(b)))), s(s(s(s(c)))), \
             lift(var1 => var1), lift(var1 => a), lift(var1 => b), lift(var1 => c), \
             s(lift(var1 => var1)), lift(var1 => s(var1)), join(a, a), join(a, b), join(a, c), \
@@ -2606,7 +2510,7 @@ mod tests {
             lift(var1 => s(b)), lift(var1 => s(c)), s(s(lift(var1 => var1))), \
             s(lift(var1 => s(var1))), lift(var1 => s(s(var1))), s(join(a, a))",
             // max_frontier = default, best-first
-            "75 75 false | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
+            "75 false | a, b, c, s(a), s(b), s(c), s(s(a)), s(s(b)), s(s(c)), s(s(s(a))), \
             s(s(s(b))), s(s(s(c))), s(s(s(s(a)))), s(s(s(s(b)))), s(s(s(s(c)))), \
             lift(var1 => var1), lift(var1 => a), lift(var1 => b), lift(var1 => c), \
             s(lift(var1 => var1)), lift(var1 => s(var1)), join(a, a), join(a, b), join(a, c), \

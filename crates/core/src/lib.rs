@@ -27,10 +27,11 @@
 //! 6. **GenerateT** (Figure 10): reconstruction of concrete lambda terms as
 //!    an A* walk over the graph ([`generate_terms`]), ordered by accumulated
 //!    weight plus the completion bounds of the open holes: no interning or
-//!    `Select` lookups in the search loop, dead (∞-bound) holes pruned at
-//!    creation, and branch-and-bound against the current n-th best
-//!    candidate. When negative weight overrides break monotonicity the walk
-//!    falls back to plain best-first order ([`generate_terms_best_first`]).
+//!    `Select` lookups in the search loop, and dead (∞-bound) holes pruned
+//!    at creation. It is the walk a [`Session`] query streams, taken to the
+//!    `n`-th emission. When negative weight overrides break monotonicity the
+//!    walk falls back to plain best-first order
+//!    ([`generate_terms_best_first`]).
 //!    [`generate_terms_unindexed`] is the pre-graph reference walk over the
 //!    flat [`PatternSet`]; all walks return byte-identical ranked terms, and
 //!    the unindexed one serves as the equivalence oracle and ablation

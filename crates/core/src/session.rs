@@ -22,12 +22,13 @@
 //!   freezes the result. A session is `Send + Sync`; wrap it in an `Arc` and
 //!   serve queries from as many threads as you like.
 //! * [`Query`] — a builder-style request: goal type, `N`, and optional
-//!   per-query overrides of the engine's budgets and depth bound.
+//!   per-query overrides of the engine's reconstruction budgets and depth
+//!   bound.
 //! * The **artifact cache** — derivation graphs (with their A* heuristics)
-//!   are cached on the *engine*, keyed `(environment fingerprint, goal,
-//!   prover budgets)`, so sessions over one program point share graphs no
-//!   matter which session queried first. Builds are single-flight: any
-//!   number of concurrent queries for one key perform exactly one build.
+//!   are cached on the *engine*, keyed `(environment fingerprint, goal)`, so
+//!   sessions over one program point share graphs no matter which session
+//!   queried first. Builds are single-flight: any number of concurrent
+//!   queries for one key perform exactly one build.
 //! * [`Session::update`] — the edit-time delta path: apply an [`EnvDelta`]
 //!   (add / remove / reweight declarations) and get a session for the edited
 //!   point whose results are byte-identical to a fresh [`Engine::prepare`]
@@ -459,19 +460,16 @@ impl EnvDelta {
 /// let query = Query::new(Ty::base("File"))
 ///     .with_n(3)
 ///     .with_max_depth(4)
-///     .with_prover_time_limit(Some(Duration::from_millis(100)));
+///     .with_reconstruction_time_limit(Some(Duration::from_millis(100)));
 /// assert_eq!(query.n(), 3);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Query {
     goal: Ty,
     n: usize,
-    prover_time_limit: Option<Option<Duration>>,
     reconstruction_time_limit: Option<Option<Duration>>,
-    max_explore_requests: Option<usize>,
     max_reconstruction_steps: Option<usize>,
-    max_depth: Option<Option<usize>>,
-    erase_coercions: Option<bool>,
+    max_depth: Option<usize>,
     cancel: Option<CancelToken>,
 }
 
@@ -482,12 +480,9 @@ impl Query {
         Query {
             goal,
             n: 10,
-            prover_time_limit: None,
             reconstruction_time_limit: None,
-            max_explore_requests: None,
             max_reconstruction_steps: None,
             max_depth: None,
-            erase_coercions: None,
             cancel: None,
         }
     }
@@ -508,23 +503,10 @@ impl Query {
         self
     }
 
-    /// Overrides the exploration + pattern generation wall-clock budget
-    /// (`None` removes the limit).
-    pub fn with_prover_time_limit(mut self, limit: Option<Duration>) -> Self {
-        self.prover_time_limit = Some(limit);
-        self
-    }
-
     /// Overrides the reconstruction wall-clock budget (`None` removes the
     /// limit).
     pub fn with_reconstruction_time_limit(mut self, limit: Option<Duration>) -> Self {
         self.reconstruction_time_limit = Some(limit);
-        self
-    }
-
-    /// Overrides the hard cap on exploration requests.
-    pub fn with_max_explore_requests(mut self, max: usize) -> Self {
-        self.max_explore_requests = Some(max);
         self
     }
 
@@ -536,20 +518,7 @@ impl Query {
 
     /// Bounds the depth of synthesized terms for this query.
     pub fn with_max_depth(mut self, depth: usize) -> Self {
-        self.max_depth = Some(Some(depth));
-        self
-    }
-
-    /// Removes the session's depth bound for this query.
-    pub fn without_max_depth(mut self) -> Self {
-        self.max_depth = Some(None);
-        self
-    }
-
-    /// Overrides whether coercion applications are erased from the reported
-    /// snippets.
-    pub fn with_erase_coercions(mut self, erase: bool) -> Self {
-        self.erase_coercions = Some(erase);
+        self.max_depth = Some(depth);
         self
     }
 
@@ -564,21 +533,17 @@ impl Query {
 
     /// The session configuration with this query's overrides applied.
     fn effective_config(&self, base: &SynthesisConfig) -> SynthesisConfig {
-        // The weights (baked into the prepared point) and the cache bounds
-        // are engine-level; a query cannot override them.
+        // The weights (baked into the prepared point), the prover budgets
+        // (which shape the cached graph) and the cache bounds are
+        // engine-level; a query cannot override them.
         SynthesisConfig {
-            prover_time_limit: self.prover_time_limit.unwrap_or(base.prover_time_limit),
             reconstruction_time_limit: self
                 .reconstruction_time_limit
                 .unwrap_or(base.reconstruction_time_limit),
-            max_explore_requests: self
-                .max_explore_requests
-                .unwrap_or(base.max_explore_requests),
             max_reconstruction_steps: self
                 .max_reconstruction_steps
                 .unwrap_or(base.max_reconstruction_steps),
-            max_depth: self.max_depth.unwrap_or(base.max_depth),
-            erase_coercions: self.erase_coercions.unwrap_or(base.erase_coercions),
+            max_depth: self.max_depth.or(base.max_depth),
             ..base.clone()
         }
     }
@@ -626,16 +591,14 @@ impl PreparedPoint {
 }
 
 /// The inputs that determine a derivation graph: the program point's
-/// fingerprint and the goal, plus every configuration knob that can change
-/// what exploration and pattern generation produce. Anything else (`n`,
-/// reconstruction budgets, coercion erasure) only affects the walk and
-/// shares the cached graph.
+/// fingerprint and the goal. Everything else exploration and pattern
+/// generation read — the weights and the prover budgets — is fixed per
+/// engine, and a query's own settings (`n`, the reconstruction budgets, the
+/// depth bound) only affect the walk and share the cached graph.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 struct ArtifactKey {
     fingerprint: EnvFingerprint,
     goal: Ty,
-    max_explore_requests: usize,
-    prover_time_limit: Option<Duration>,
 }
 
 /// Everything a query needs that does not depend on `n` or the reconstruction
@@ -679,8 +642,8 @@ pub(crate) struct QueryArtifacts {
 /// The reconstruction budgets that shape a walk's trajectory — the key of
 /// the walk parked on a graph. Together with the artifact cache's own key
 /// this realises the full `(fingerprint, goal, budgets)` resume key:
-/// artifacts are already cached per `(fingerprint, goal, explore budgets)`,
-/// and the weights are fixed per engine. Two queries agreeing on every
+/// artifacts are already cached per `(fingerprint, goal)`, and the weights
+/// and prover budgets are fixed per engine. Two queries agreeing on every
 /// component walk identical trajectories, so the later one may adopt the
 /// earlier one's state; any differing budget starts fresh.
 /// (`max_frontier` is a fixed default on the session path and needs no
@@ -790,8 +753,8 @@ fn evict_lru<K: Clone + Eq + std::hash::Hash, T>(
 
 /// The engine-level content-addressed caches: prepared program points keyed
 /// by [`EnvFingerprint`], and query artifacts (derivation graphs) keyed by
-/// `(fingerprint, goal, prover budgets)`. Shared — behind one `Arc` — by the
-/// engine, its clones, and every session it prepares.
+/// `(fingerprint, goal)`. Shared — behind one `Arc` — by the engine, its
+/// clones, and every session it prepares.
 ///
 /// Both caches survive panics: they only ever hold fully built values, so
 /// poisoned locks are recovered (`into_inner`) rather than propagated, and
@@ -1074,9 +1037,9 @@ impl Session {
     /// The stream resolves (or reuses) the cached derivation graph exactly
     /// as `query` does. On a miss, a point reached by σ-inert edits (see
     /// [`Session::update`]) follows its chain of parents to the nearest one
-    /// with a built, untruncated graph for the same goal and budgets, and
-    /// patches that graph ([`DerivationGraph::patch`]); without one, or when
-    /// the patch cannot be proven exact, it builds. The stream then either
+    /// with a built, untruncated graph for the same goal, and patches that
+    /// graph ([`DerivationGraph::patch`]); without one, or when the patch
+    /// cannot be proven exact, it builds. The stream then either
     /// *resumes* the walk an earlier stream parked on the graph under the
     /// same reconstruction budgets — popping only the delta — or starts a
     /// fresh walk. Dropping the stream parks its walk state on the cached
@@ -1092,8 +1055,6 @@ impl Session {
             let key = ArtifactKey {
                 fingerprint: self.fingerprint(),
                 goal: query.goal.clone(),
-                max_explore_requests: config.max_explore_requests,
-                prover_time_limit: config.prover_time_limit,
             };
             self.cache
                 .graph_cell(key.clone(), &self.point, self.config.graph_cache_capacity)
@@ -1126,8 +1087,8 @@ impl Session {
                     // incomplete graph on the engine forever. Use it for the
                     // queries already waiting on this cell and let the next
                     // query re-explore. (A `max_explore_requests`-capped
-                    // exploration is deterministic — the cap is part of the
-                    // key — and caches normally.)
+                    // exploration is deterministic — the cap is the
+                    // engine's — and caches normally.)
                     self.cache.discard_graph(&key, &cell);
                 }
                 artifacts
@@ -1136,7 +1097,7 @@ impl Session {
         TermStream::open(
             artifacts,
             made_here,
-            config,
+            &config,
             Arc::clone(&self.point),
             query.cancel.clone(),
         )
@@ -1144,8 +1105,8 @@ impl Session {
 
     /// The artifacts for `key` patched from the nearest ancestor, along this
     /// point's chain of σ-inert edits, that has a built, untruncated graph
-    /// for the same goal and budgets — or `None` when there is no such
-    /// ancestor or [`DerivationGraph::patch`] cannot prove the patch exact.
+    /// for the same goal — or `None` when there is no such ancestor or
+    /// [`DerivationGraph::patch`] cannot prove the patch exact.
     /// Exploration replays identically across the chain, so the patch keeps
     /// the ancestor's exploration and pattern statistics; its reported
     /// explore time is zero and its pattern time is the patch's.
@@ -1163,7 +1124,7 @@ impl Session {
             hops.push((point, parent.env.len()));
             let parent_key = ArtifactKey {
                 fingerprint: parent.prepared.fingerprint,
-                ..key.clone()
+                goal: key.goal.clone(),
             };
             let built = self.cache.built_artifacts(&parent_key, &parent);
             if let Some(artifacts) = built.filter(|a| !a.explore_truncated && !a.time_truncated) {
@@ -1224,8 +1185,8 @@ impl Session {
     ///   environment — adding, removing or reweighting locals of types Γ
     ///   already has) links the edited point to this one. A graph-cache miss
     ///   on the edited point then *patches* the nearest ancestor's graph for
-    ///   the same goal and budgets ([`DerivationGraph::patch`]) when
-    ///   exploration would replay identically, and builds otherwise;
+    ///   the same goal ([`DerivationGraph::patch`]) when exploration would
+    ///   replay identically, and builds otherwise;
     /// * a no-op delta (or one whose result is already cached) returns a
     ///   session sharing the existing point outright. As in
     ///   [`Engine::prepare`], only the identical declaration list is shared:
@@ -1309,9 +1270,9 @@ impl Session {
     }
 
     /// Number of derivation graphs currently cached for this session's
-    /// program point (one per distinct goal/prover-budget combination
-    /// queried so far, bounded — together with every other point's graphs —
-    /// by [`SynthesisConfig::graph_cache_capacity`]). A graph cached for a
+    /// program point (one per distinct goal queried so far, bounded —
+    /// together with every other point's graphs — by
+    /// [`SynthesisConfig::graph_cache_capacity`]). A graph cached for a
     /// permutation of this point's declaration list shares the fingerprint
     /// but not the answers, so it does not count.
     pub fn cached_graph_count(&self) -> usize {
@@ -1447,7 +1408,6 @@ pub struct TermStream {
     /// Whether the query that opened this stream built or patched
     /// `artifacts` (rather than finding them cached).
     made_here: bool,
-    config: SynthesisConfig,
     limits: GenerateLimits,
     key: StreamKey,
     /// The querying session's point: terms render against its declaration
@@ -1469,7 +1429,7 @@ impl TermStream {
     fn open(
         artifacts: Arc<QueryArtifacts>,
         made_here: bool,
-        config: SynthesisConfig,
+        config: &SynthesisConfig,
         point: Arc<PreparedPoint>,
         cancel: Option<CancelToken>,
     ) -> TermStream {
@@ -1480,7 +1440,7 @@ impl TermStream {
             cancel,
             ..GenerateLimits::default()
         };
-        let key = StreamKey::of(&config);
+        let key = StreamKey::of(config);
         let (state, resumed) = match artifacts.checkout_walk(&key) {
             Some(state) => (state, true),
             None => {
@@ -1492,7 +1452,6 @@ impl TermStream {
         TermStream {
             artifacts,
             made_here,
-            config,
             limits,
             key,
             point,
@@ -1537,48 +1496,26 @@ impl TermStream {
             .state
             .as_mut()
             .expect("stream state present until drop");
-        while state.emitted().len() < n
-            && state
-                .step_streamed(
-                    &self.artifacts.graph,
-                    &self.point.env,
-                    &self.limits,
-                    &self.leg_start,
-                )
-                .is_some()
-        {}
+        let (walk_steps, walk_truncated) = state.take(
+            &self.artifacts.graph,
+            &self.point.env,
+            &self.limits,
+            &self.leg_start,
+            n,
+        );
         let recon_time = recon_started.elapsed();
 
-        let state = self
-            .state
-            .as_ref()
-            .expect("stream state present until drop");
         let emitted = state.emitted();
         let served = emitted.len().min(n);
         let snippets = emitted[..served]
             .iter()
-            .map(|emission| snippet_of(&emission.term, &self.config))
+            .map(|emission| snippet_of(&emission.term))
             .collect();
 
         let (explore, patterns) = if self.made_here {
             (self.artifacts.explore_time, self.artifacts.patterns_time)
         } else {
             (Duration::ZERO, Duration::ZERO)
-        };
-
-        // Per-emission snapshots make the cumulative discipline exact: when
-        // the n-th term exists, report the pops and truncation state *at its
-        // emission*, exactly what a bounded walk to `n` recorded; when the
-        // walk stopped short, report the stop itself.
-        let (walk_steps, walk_truncated) = if n == 0 {
-            (0, false)
-        } else if let Some(nth) = emitted.get(n - 1) {
-            (nth.steps, nth.truncated)
-        } else {
-            (
-                state.steps(),
-                state.truncated() || state.time_truncated() || state.cancelled(),
-            )
         };
 
         SynthesisResult {
@@ -1595,7 +1532,6 @@ impl TermStream {
                 requests_processed: self.artifacts.requests_processed,
                 patterns: self.artifacts.patterns,
                 reconstruction_steps: walk_steps,
-                reconstruction_pruned_enqueues: state.pruned_enqueues(),
                 astar: state.astar(),
                 truncated: self.artifacts.explore_truncated || walk_truncated,
                 has_more: n < emitted.len() || !state.exhausted(),
@@ -1617,7 +1553,7 @@ impl Iterator for TermStream {
             return Some(emission.term.clone());
         }
         let stepped = state
-            .step_streamed(
+            .step(
                 &self.artifacts.graph,
                 &self.point.env,
                 &self.limits,
@@ -1654,19 +1590,14 @@ impl fmt::Debug for TermStream {
     }
 }
 
-/// Packages one ranked term as a reported snippet, applying the configured
-/// coercion erasure.
-fn snippet_of(ranked: &RankedTerm, config: &SynthesisConfig) -> Snippet {
+/// Packages one ranked term as a reported snippet: the term with its
+/// coercion applications erased, and the raw term beside it.
+fn snippet_of(ranked: &RankedTerm) -> Snippet {
     let raw = ranked.term.clone();
-    let erased = if config.erase_coercions {
-        erase_coercions(&raw)
-    } else {
-        raw.clone()
-    };
     Snippet {
         coercions: count_coercions(&raw),
         depth: raw.depth(),
-        term: erased,
+        term: erase_coercions(&raw),
         raw_term: raw,
         weight: ranked.weight,
     }

@@ -31,13 +31,9 @@ pub struct SynthesisConfig {
     pub max_reconstruction_steps: usize,
     /// Optional bound on the depth of synthesized terms.
     pub max_depth: Option<usize>,
-    /// When `true`, coercion applications are erased from the reported
-    /// snippets (the behaviour of the paper's tool); the raw term is still
-    /// available on each [`Snippet`].
-    pub erase_coercions: bool,
     /// Upper bound on the number of derivation graphs the [`Engine`](crate::Engine)'s
     /// cross-point artifact cache keeps (one per distinct environment
-    /// fingerprint / goal / prover-budget combination queried, shared by
+    /// fingerprint and goal queried, shared by
     /// every [`Session`](crate::Session) the engine prepared). When the
     /// bound is reached the least recently used graph is evicted, so a
     /// long-lived deployment answering many distinct goals stays bounded in
@@ -64,7 +60,6 @@ impl Default for SynthesisConfig {
             max_explore_requests: 1_000_000,
             max_reconstruction_steps: 500_000,
             max_depth: None,
-            erase_coercions: true,
             graph_cache_capacity: 64,
             point_cache_capacity: 32,
         }
@@ -95,7 +90,9 @@ impl SynthesisConfig {
     }
 }
 
-/// One synthesized suggestion.
+/// One synthesized suggestion. Coercion applications are always erased from
+/// the term the user sees (the behaviour of the paper's tool); the raw term
+/// keeps them.
 #[derive(Debug, Clone)]
 pub struct Snippet {
     /// The term with coercions erased (what the user sees).
@@ -152,10 +149,6 @@ pub struct SynthesisStats {
     pub patterns: usize,
     /// Reconstruction steps (priority-queue pops).
     pub reconstruction_steps: usize,
-    /// Successor expressions the reconstruction walk discarded before
-    /// enqueueing because their completion bound already exceeded the n-th
-    /// best candidate (heuristic-assisted when `astar` is set).
-    pub reconstruction_pruned_enqueues: usize,
     /// `true` when reconstruction ran as the heuristic-guided A* walk;
     /// `false` when it fell back to plain best-first order (negative weight
     /// overrides).

@@ -56,10 +56,10 @@ impl Weight {
     /// Returns `true` for weights ≥ 0.
     ///
     /// All of Table 1 is non-negative, but [`Declaration::with_weight`]
-    /// overrides are unrestricted. Weight-based pruning (the derivation-graph
-    /// walk's branch-and-bound) is admissible only when every weight a search
+    /// overrides are unrestricted. The derivation graph's completion bounds
+    /// (the A* heuristic) are admissible only when every weight a search
     /// step can add is non-negative, so the graph checks this once at build
-    /// time and disables the pruning otherwise.
+    /// time and walks in plain best-first order otherwise.
     ///
     /// [`Declaration::with_weight`]: crate::Declaration::with_weight
     pub fn is_non_negative(self) -> bool {

@@ -151,6 +151,7 @@ impl std::error::Error for JsonError {}
 /// Parses one complete JSON document; trailing non-whitespace is an error.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut parser = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -164,6 +165,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -324,16 +326,15 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.error("control character in string")),
                 Some(_) => {
-                    // Copy one UTF-8 scalar (input is a &str, so boundaries
-                    // are trustworthy; find the next one).
+                    // Copy the run of plain bytes up to the next quote,
+                    // escape or control character in one piece. Those
+                    // delimiters are ASCII, so the run ends on a character
+                    // boundary of the `&str` input.
                     let start = self.pos;
-                    self.pos += 1;
-                    while self.pos < self.bytes.len() && (self.bytes[self.pos] & 0xC0) == 0x80 {
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
                         self.pos += 1;
                     }
-                    let chunk = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| self.error("invalid utf-8"))?;
-                    out.push_str(chunk);
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -445,21 +446,32 @@ fn write_number(f: &mut fmt::Formatter<'_>, n: f64) -> fmt::Result {
     }
 }
 
+/// Writes `s` as a JSON string literal. Runs of bytes that need no escape
+/// are copied in one piece; every escaped character is ASCII, so each run
+/// starts and ends on a character boundary.
 fn write_string(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{0008}' => f.write_str("\\b")?,
-            '\u{000C}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    let mut plain = 0;
+    for (i, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0x08 => Some("\\b"),
+            0x0C => Some("\\f"),
+            byte if byte < 0x20 => None,
+            _ => continue,
+        };
+        f.write_str(&s[plain..i])?;
+        match escape {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{byte:04x}")?,
         }
+        plain = i + 1;
     }
+    f.write_str(&s[plain..])?;
     f.write_str("\"")
 }
 
@@ -504,6 +516,24 @@ mod tests {
         assert_eq!(roundtrip(r#""\u0001""#), "\"\\u0001\"");
         // Non-ASCII passes through raw.
         assert_eq!(roundtrip("\"héllo\""), "\"héllo\"");
+        // Escapes and multi-byte scalars next to plain runs.
+        let text = "\"ab\\u00e9\u{e9}\\n\u{1F600}xy\\\"z\u{7f}\\u0002é\"";
+        let value = parse(text).unwrap();
+        assert_eq!(value, Json::Str("abé\u{e9}\n😀xy\"z\u{7f}\u{2}é".into()));
+        assert_eq!(value.to_string(), "\"abéé\\n😀xy\\\"z\u{7f}\\u0002é\"");
+        assert_eq!(roundtrip(&value.to_string()), value.to_string());
+        // Errors keep their byte offsets: a raw control character after a
+        // multi-byte scalar, a string ending inside a plain run, and a bad
+        // escape after one.
+        assert_eq!(
+            parse("\"é😀\u{1}\"").unwrap_err(),
+            JsonError {
+                offset: 7,
+                message: "control character in string".into()
+            }
+        );
+        assert_eq!(parse("\"héllo").unwrap_err().offset, 7);
+        assert_eq!(parse("[\"a\\q\"]").unwrap_err().offset, 4);
     }
 
     #[test]

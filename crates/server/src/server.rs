@@ -421,7 +421,9 @@ impl Server {
             );
         }
         if let Some(depth) = optional_u64(params, "max_depth")? {
-            query = query.with_max_depth(depth as usize);
+            let depth = depth as usize;
+            query =
+                query.with_max_depth(engine_config.max_depth.map_or(depth, |cap| depth.min(cap)));
         }
         if let Some(ms) = optional_u64(params, "timeout_ms")? {
             let requested = Duration::from_millis(ms);

@@ -8,7 +8,8 @@
 use std::io::Write;
 use std::process::{Command, Stdio};
 
-use insynth_server::{parse_json, Json};
+use insynth_core::{Engine, SynthesisConfig};
+use insynth_server::{parse_json, Json, Server, ServerConfig};
 
 const SCRIPT: &str = include_str!("data/script.jsonl");
 
@@ -268,4 +269,28 @@ fn pages_never_exceed_the_protocol_limit_of_100_values() {
             "with args {args:?}"
         );
     }
+}
+
+#[test]
+fn a_request_max_depth_never_raises_the_engine_depth_bound() {
+    // `s : A -> A` inhabits A at every depth, so a depth bound of 2 leaves
+    // exactly `a` and `s(a)`; a request for depth 50 must not lift it.
+    let open = concat!(
+        r#"{"id": 1, "method": "env/open", "params": {"env": [{"name": "a", "ty": "A"}, "#,
+        r#"{"name": "s", "ty": {"args": ["A"], "ret": "A"}}]}}"#,
+    );
+    let answer = |params: &str| {
+        let server = Server::new(
+            Engine::new(SynthesisConfig::default().with_max_depth(2)),
+            ServerConfig::default(),
+        );
+        server.handle_line(open);
+        server.handle_line(&format!(
+            r#"{{"id": 2, "method": "completion/complete", "params": {{"session": 1, "goal": "A", "n": 5{params}}}}}"#
+        ))
+    };
+    let plain = answer("");
+    assert_eq!(terms(&plain), ["a", "s(a)"]);
+    assert_eq!(answer(r#", "max_depth": 50"#), plain);
+    assert_eq!(terms(&answer(r#", "max_depth": 1"#)), ["a"]);
 }

@@ -134,10 +134,9 @@
 //! which stays byte-compatible with a from-scratch walk).
 //!
 //! Derivation graphs (with their A* completion-cost heuristics) are memoized
-//! on the **engine**, keyed `(environment fingerprint, goal, prover
-//! budgets)`, so repeated queries — from any session sharing the prepared
-//! point — skip straight to reconstruction, and builds
-//! are single-flight under concurrency. Both caches are bounded
+//! on the **engine**, keyed `(environment fingerprint, goal)`, so repeated
+//! queries — from any session sharing the prepared point — skip straight
+//! to reconstruction, and builds are single-flight under concurrency. Both caches are bounded
 //! (`SynthesisConfig::graph_cache_capacity`, default 64 graphs, and
 //! `SynthesisConfig::point_cache_capacity`, default 32 prepared points;
 //! least-recently-used eviction), so long-lived engines stay bounded in
@@ -280,9 +279,10 @@
 //! error `-32001`; its partially-walked state is discarded, never
 //! persisted, and the loop keeps serving. Cancelling an id that has not
 //! arrived yet is remembered and applied on arrival, so scripted
-//! cancellation is deterministic. Per-request `max_steps` / `timeout_ms`
-//! overrides and the page-size clamp are the admission-control counterpart:
-//! they can only lower the engine's configured budgets, never raise them.
+//! cancellation is deterministic. Per-request `max_steps` / `timeout_ms` /
+//! `max_depth` overrides and the page-size clamp are the admission-control
+//! counterpart: they can only lower the engine's configured budgets, never
+//! raise them.
 //!
 //! **MCP note.** The `completion/complete` result (`values`, `total`,
 //! `has_more`) deliberately mirrors the `completion/complete` shape of the

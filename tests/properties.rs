@@ -360,7 +360,7 @@ proptest! {
         n in 0usize..2,
     ) {
         // The degenerate request sizes: n = 0 must short-circuit identically,
-        // n = 1 exercises the branch-and-bound from the very first candidate.
+        // n = 1 stops the walk at its very first emission.
         use insynth::succinct::TypeStore;
 
         let weights = WeightConfig::default();
